@@ -1,11 +1,9 @@
 //! One builder for both hosts.
 //!
-//! The paper's Listing-1 flow (`new` → `add_nvme_dev*` → `init_nvme` →
-//! `start*`) is order-sensitive, and the AGILE and BaM hosts each used to
-//! expose their own near-duplicate copy of it. [`HostBuilder`] replaces both
-//! call sequences with a single declarative construction API whose invalid
-//! orders are unrepresentable — `build()` runs the flow in the only valid
-//! order and returns a started host:
+//! [`HostBuilder`] fills an [`agile_core::host::HostSpec`] through setters
+//! and hands it to the chosen system's one constructor
+//! ([`AgileHost::build`] / [`BamHost::build`]), which returns a started
+//! host. Nothing is order-sensitive: every setter only records data.
 //!
 //! ```
 //! use bam_baseline::HostBuilder;
@@ -15,7 +13,7 @@
 //! let mut host = HostBuilder::agile(AgileConfig::small_test())
 //!     .gpu(GpuConfig::tiny(4))
 //!     .devices(2, 1 << 16)  // two SSDs of 2^16 pages
-//!     .shards(2)            // lock-partitioned ShardedArray topology
+//!     .shards(2)            // two lock shards instead of one
 //!     .build();
 //! assert_eq!(host.topology().shard_count(), 2);
 //! # let _ = &mut host;
@@ -30,19 +28,13 @@ use crate::ctrl::BamConfig;
 use crate::host::BamHost;
 use agile_control::{ControlPolicy, SloSpec};
 use agile_core::config::AgileConfig;
-use agile_core::host::{AgileHost, GpuStorageHost};
+use agile_core::host::{AgileHost, DeviceSpec, GpuStorageHost, HostSpec};
 use agile_core::qos::QosPolicy;
 use agile_metrics::{MetricsRegistry, WindowedSampler};
 use agile_sim::trace::TraceSink;
 use gpu_sim::{EngineSched, GpuConfig};
 use nvme_sim::{PageBacking, Placement};
 use std::sync::Arc;
-
-/// One device to be created at build time.
-struct DeviceSpec {
-    pages: u64,
-    backing: Option<Arc<dyn PageBacking>>,
-}
 
 /// Selects which system a [`HostBuilder`] constructs. Implemented by
 /// [`AgileSystem`] and [`BamSystem`]; not meant to be implemented outside
@@ -52,6 +44,8 @@ pub trait HostSystem {
     type Config;
     /// The host type `build()` returns.
     type Host: GpuStorageHost;
+    /// The system's constructor.
+    fn build(spec: HostSpec, config: Self::Config) -> Self::Host;
 }
 
 /// Marker for [`HostBuilder::agile`].
@@ -59,6 +53,9 @@ pub struct AgileSystem;
 impl HostSystem for AgileSystem {
     type Config = AgileConfig;
     type Host = AgileHost;
+    fn build(spec: HostSpec, config: AgileConfig) -> AgileHost {
+        AgileHost::build(spec, config)
+    }
 }
 
 /// Marker for [`HostBuilder::bam`].
@@ -66,49 +63,23 @@ pub struct BamSystem;
 impl HostSystem for BamSystem {
     type Config = BamConfig;
     type Host = BamHost;
+    fn build(spec: HostSpec, config: BamConfig) -> BamHost {
+        BamHost::build(spec, config)
+    }
 }
 
 /// Declarative construction of an AGILE or BaM host (see the module docs).
 pub struct HostBuilder<S: HostSystem> {
-    gpu: GpuConfig,
+    spec: HostSpec,
     config: S::Config,
-    devices: Vec<DeviceSpec>,
-    shards: usize,
-    placement: Placement,
-    service_shards: usize,
-    engine_sched: EngineSched,
-    barrier_spin_limit: Option<u32>,
-    sink: Option<Arc<dyn TraceSink>>,
-    qos: Option<Arc<dyn QosPolicy>>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    sampler: Option<Arc<WindowedSampler>>,
-    control: Option<ControlPolicy>,
-    slos: Vec<SloSpec>,
 }
-
-/// Sampler window (cycles) auto-created when [`HostBuilder::control`] is
-/// requested without an explicit [`HostBuilder::metrics_sampler`] — matches
-/// the replay harness's default metrics window.
-const DEFAULT_CONTROL_WINDOW: u64 = 500_000;
 
 impl HostBuilder<AgileSystem> {
     /// Build an AGILE host (background service, asynchronous I/O API).
     pub fn agile(config: AgileConfig) -> Self {
         HostBuilder {
-            gpu: GpuConfig::rtx_5000_ada(),
+            spec: HostSpec::default(),
             config,
-            devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            sink: None,
-            qos: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            slos: Vec::new(),
         }
     }
 
@@ -117,8 +88,7 @@ impl HostBuilder<AgileSystem> {
     /// devices its storage shard owns ([`agile_core::service::ServiceSet`]).
     /// The default of 1 is the paper's single service, bit for bit.
     pub fn service_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "the service needs at least one partition");
-        self.service_shards = shards;
+        self.spec.service_shards = shards;
         self
     }
 
@@ -141,154 +111,76 @@ impl HostBuilder<AgileSystem> {
         self.config.cache_shares = shares;
         self
     }
-
-    /// Auto-size each service partition's warp count from its CQ target
-    /// count ([`agile_core::service::auto_service_warps`]) instead of the
-    /// fixed `service_warps` geometry.
-    pub fn auto_service_warps(mut self) -> Self {
-        self.config.auto_service_warps = true;
-        self
-    }
-
-    /// Split the software cache into `shards` set-range shards
-    /// ([`agile_cache::ShardedCache`], clamped to ≥ 1). Structural only at
-    /// the default port hold of 0 — any shard count replays bit-identically;
-    /// pair with [`HostBuilder::cache_port_hold`] for contention studies.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config = self.config.with_cache_shards(shards);
-        self
-    }
-
-    /// Model cache-port contention: each cached lookup holds its shard's
-    /// access port for `cycles` (0, the default, disables the model).
-    pub fn cache_port_hold(mut self, cycles: u64) -> Self {
-        self.config = self.config.with_cache_port_hold(cycles);
-        self
-    }
 }
 
 impl HostBuilder<BamSystem> {
     /// Build a BaM baseline host (no service, synchronous issue-then-poll).
     pub fn bam(config: BamConfig) -> Self {
         HostBuilder {
-            gpu: GpuConfig::rtx_5000_ada(),
+            spec: HostSpec::default(),
             config,
-            devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            sink: None,
-            qos: None,
-            metrics: None,
-            sampler: None,
-            control: None,
-            slos: Vec::new(),
         }
-    }
-
-    /// Split the software cache into `shards` set-range shards
-    /// ([`agile_cache::ShardedCache`], clamped to ≥ 1) — same semantics as
-    /// the AGILE variant, so shard sweeps compare both systems fairly.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config = self.config.with_cache_shards(shards);
-        self
-    }
-
-    /// Model cache-port contention: each cached lookup holds its shard's
-    /// access port for `cycles` (0, the default, disables the model).
-    pub fn cache_port_hold(mut self, cycles: u64) -> Self {
-        self.config = self.config.with_cache_port_hold(cycles);
-        self
     }
 }
 
 impl<S: HostSystem> HostBuilder<S> {
     /// Simulated GPU to run on (default: the paper's RTX 5000 Ada).
     pub fn gpu(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = gpu;
+        self.spec.gpu = gpu;
         self
     }
 
     /// Add `count` SSDs of `pages` 4 KiB pages each with default in-memory
     /// backings. May be called repeatedly; devices accumulate.
     pub fn devices(mut self, count: usize, pages: u64) -> Self {
-        for _ in 0..count {
-            self.devices.push(DeviceSpec {
-                pages,
-                backing: None,
-            });
-        }
+        let dev = DeviceSpec {
+            pages,
+            backing: None,
+        };
+        self.spec.devices.extend(std::iter::repeat_n(dev, count));
         self
     }
 
     /// Add one SSD of `pages` pages with a caller-supplied page backing
     /// (synthetic content, payload-carrying, …).
     pub fn backing(mut self, pages: u64, backing: Arc<dyn PageBacking>) -> Self {
-        self.devices.push(DeviceSpec {
+        self.spec.devices.push(DeviceSpec {
             pages,
             backing: Some(backing),
         });
         self
     }
 
-    /// Partition the storage into `shards` lock shards
-    /// ([`nvme_sim::ShardedArray`]); without this call the topology is the
-    /// single-lock [`nvme_sim::FlatArray`]. `shards(1)` behaves identically
-    /// to the flat array but exercises the sharded code path.
+    /// Partition the storage into `shards` lock shards (≥ 1; default 1, the
+    /// paper's single-lock array).
     pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shards(0) is the flat array; pass ≥ 1");
-        self.shards = shards;
+        self.spec.shards = shards;
         self
     }
 
     /// Select the striping layer's placement seed over
-    /// [`nvme_sim::StorageTopology::map_page`]: the default
+    /// [`nvme_sim::ShardedArray::map_page`]: the default
     /// [`Placement::Interleave`] is the paper's `g % devices` layout
     /// (golden-guarded), [`Placement::Hash`] rotates each page row by a
     /// hash for diagonal data-layout experiments.
     pub fn placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
+        self.spec.placement = placement;
         self
     }
 
-    /// Select the engine's scheduling loop: the event-driven ready-queue
-    /// (default) or the legacy full scan ([`gpu_sim::EngineSched`]). Both
-    /// execute bit-identically; the scan exists for equivalence tests and
-    /// wall-time comparisons.
+    /// Select the engine's scheduling loop ([`gpu_sim::EngineSched`]): the
+    /// event-driven ready-queue (default), the legacy full scan, or
+    /// [`EngineSched::ParallelShards`] worker threads. All execute
+    /// bit-identically; they differ only in rounds visited and wall time.
     pub fn engine_sched(mut self, sched: EngineSched) -> Self {
-        self.engine_sched = sched;
-        self
-    }
-
-    /// Run the engine's shard-affine devices on `n` OS threads
-    /// ([`EngineSched::ParallelShards`]); `1` selects the sequential
-    /// event-driven scheduler. Every thread count produces bit-identical
-    /// results — threads only change wall-clock time.
-    pub fn engine_threads(self, n: usize) -> Self {
-        assert!(n >= 1, "engine_threads requires at least one thread");
-        self.engine_sched(if n == 1 {
-            EngineSched::EventQueue
-        } else {
-            EngineSched::ParallelShards(n)
-        })
-    }
-
-    /// Override the threaded engine's epoch-barrier spin limit (spins per
-    /// worker before falling back to `thread::yield_now`; see
-    /// [`gpu_sim::Engine::set_barrier_spin_limit`]). Host-CPU trade only —
-    /// simulated time is bit-identical at any setting. No effect under a
-    /// sequential scheduler.
-    pub fn barrier_spin_limit(mut self, limit: u32) -> Self {
-        self.barrier_spin_limit = Some(limit);
+        self.spec.engine_sched = sched;
         self
     }
 
     /// Install a trace sink across the whole stack before the first kernel
     /// runs, so capture covers every event from time zero.
     pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
+        self.spec.trace_sink = Some(sink);
         self
     }
 
@@ -296,7 +188,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// tenant-attributed SQ admission, before the first kernel runs. Without
     /// this call the stack schedules FIFO (pre-QoS behaviour, bit-for-bit).
     pub fn qos(mut self, policy: Arc<dyn QosPolicy>) -> Self {
-        self.qos = Some(policy);
+        self.spec.qos = Some(policy);
         self
     }
 
@@ -307,7 +199,7 @@ impl<S: HostSystem> HostBuilder<S> {
     /// is a no-op and replay output is byte-identical to an uninstrumented
     /// build.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.spec.metrics = Some(registry);
         self
     }
 
@@ -315,142 +207,45 @@ impl<S: HostSystem> HostBuilder<S> {
     /// by the simulated clock; pair with [`HostBuilder::metrics`] over the
     /// same registry to get per-window time series out of a run.
     pub fn metrics_sampler(mut self, sampler: Arc<WindowedSampler>) -> Self {
-        self.sampler = Some(sampler);
+        self.spec.sampler = Some(sampler);
         self
     }
 
     /// Enable the closed-loop control plane ([`agile_control::Controller`])
     /// under `policy`. Implies metrics: when no registry / sampler was
-    /// supplied, a registry and a [`DEFAULT_CONTROL_WINDOW`]-cycle sampler
-    /// are created automatically at build time. Pair with
-    /// [`HostBuilder::slos`] to enforce per-tenant objectives.
+    /// supplied, a registry and a
+    /// [`DEFAULT_CONTROL_WINDOW`](agile_core::host::DEFAULT_CONTROL_WINDOW)-cycle
+    /// sampler are created at build time. Pair with [`HostBuilder::slos`] to
+    /// enforce per-tenant objectives.
     pub fn control(mut self, policy: ControlPolicy) -> Self {
-        self.control = Some(policy);
+        self.spec.control = Some(policy);
         self
     }
 
     /// Declare per-tenant SLOs ([`agile_control::SloSpec`]) for the control
     /// plane's AIMD loop. Only meaningful with [`HostBuilder::control`].
     pub fn slos(mut self, slos: Vec<SloSpec>) -> Self {
-        self.slos = slos;
+        self.spec.slos = slos;
         self
     }
 
-    /// Resolve the metrics registry / sampler pair, auto-creating both when
-    /// the control plane was requested without explicit instrumentation.
-    fn metrics_parts(
-        metrics: Option<Arc<MetricsRegistry>>,
-        sampler: Option<Arc<WindowedSampler>>,
-        control: bool,
-    ) -> (Option<Arc<MetricsRegistry>>, Option<Arc<WindowedSampler>>) {
-        if !control {
-            return (metrics, sampler);
-        }
-        let registry = metrics.unwrap_or_default();
-        let sampler = sampler
-            .unwrap_or_else(|| WindowedSampler::new(Arc::clone(&registry), DEFAULT_CONTROL_WINDOW));
-        (Some(registry), Some(sampler))
-    }
-}
-
-impl HostBuilder<AgileSystem> {
-    /// Construct, initialise and start the AGILE host (devices + queues
-    /// built, controller created, trace sink installed, service launched).
-    pub fn build(self) -> AgileHost {
-        assert!(
-            !self.devices.is_empty(),
-            "HostBuilder needs at least one device — call .devices(n, pages)"
-        );
-        let mut host = AgileHost::new(self.gpu, self.config);
-        for dev in self.devices {
-            match dev.backing {
-                Some(backing) => host.add_nvme_dev_with_backing(dev.pages, backing),
-                None => host.add_nvme_dev(dev.pages),
-            };
-        }
-        if self.shards > 0 {
-            host.set_shards(self.shards);
-        }
-        host.set_placement(self.placement);
-        host.set_service_shards(self.service_shards);
-        host.set_engine_sched(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            host.set_barrier_spin_limit(limit);
-        }
-        host.init_nvme();
-        if let Some(sink) = self.sink {
-            host.set_trace_sink(sink);
-        }
-        if let Some(qos) = self.qos {
-            host.set_qos_policy(qos);
-        }
-        let (metrics, sampler) =
-            Self::metrics_parts(self.metrics, self.sampler, self.control.is_some());
-        if let Some(registry) = metrics {
-            host.set_metrics(registry);
-        }
-        if let Some(sampler) = sampler {
-            host.set_metrics_sampler(sampler);
-        }
-        if let Some(policy) = self.control {
-            host.set_control(policy, self.slos);
-        }
-        host.start_agile();
-        host
-    }
-}
-
-impl HostBuilder<BamSystem> {
-    /// Construct, initialise and start the BaM host (devices + queues built,
-    /// controller created, trace sink installed, engine ready).
-    pub fn build(self) -> BamHost {
-        assert!(
-            !self.devices.is_empty(),
-            "HostBuilder needs at least one device — call .devices(n, pages)"
-        );
-        let mut host = BamHost::new(self.gpu, self.config);
-        for dev in self.devices {
-            match dev.backing {
-                Some(backing) => host.add_nvme_dev_with_backing(dev.pages, backing),
-                None => host.add_nvme_dev(dev.pages),
-            };
-        }
-        if self.shards > 0 {
-            host.set_shards(self.shards);
-        }
-        host.set_placement(self.placement);
-        host.set_engine_sched(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            host.set_barrier_spin_limit(limit);
-        }
-        host.init_nvme();
-        if let Some(sink) = self.sink {
-            host.set_trace_sink(sink);
-        }
-        if let Some(qos) = self.qos {
-            host.set_qos_policy(qos);
-        }
-        let (metrics, sampler) =
-            Self::metrics_parts(self.metrics, self.sampler, self.control.is_some());
-        if let Some(registry) = metrics {
-            host.set_metrics(registry);
-        }
-        if let Some(sampler) = sampler {
-            host.set_metrics_sampler(sampler);
-        }
-        if let Some(policy) = self.control {
-            host.set_control(policy, self.slos);
-        }
-        host.start();
-        host
+    /// Construct and start the host: devices and queues built, controller
+    /// created, sink, policy and instruments installed, engine ready and —
+    /// on AGILE — the service launched.
+    pub fn build(self) -> S::Host {
+        S::build(self.spec, self.config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agile_core::kernels::PrefetchComputeKernel;
+    use agile_core::qos::WeightedFair;
+    use agile_metrics::Labels;
     use agile_sim::trace::{TraceEvent, TraceEventKind};
     use gpu_sim::LaunchConfig;
+    use nvme_sim::ShardedArray;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Default)]
@@ -471,29 +266,114 @@ mod tests {
             .build();
         assert_eq!(host.ctrl().device_count(), 2);
         assert_eq!(host.topology().shard_count(), 1);
-        // start_agile already ran: the engine exists and reports time.
+        assert_eq!(host.service_set().partitions().len(), 1);
+        assert!(host.metrics().is_none());
+        assert!(host.controller().is_none());
+        // The service is launched: the engine exists and reports time.
         assert_eq!(host.now().raw(), 0);
     }
 
+    /// Sets every option both systems share to a non-default value, runs
+    /// `$kernel` on the built host, and asserts each option took effect.
+    macro_rules! assert_every_option_reaches_the_host {
+        ($builder:expr, $kernel:expr) => {{
+            let sink = Arc::new(SubmitCounter::default());
+            let registry = MetricsRegistry::new();
+            let sampler = WindowedSampler::new(Arc::clone(&registry), 10_000);
+            let sched = EngineSched::ParallelShards(2);
+            let mut host = $builder
+                .gpu(GpuConfig::tiny(2))
+                .devices(4, 1 << 12)
+                .shards(2)
+                .placement(Placement::Hash)
+                .engine_sched(sched)
+                .trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>)
+                .qos(Arc::new(WeightedFair::from_weights(&[3, 1])))
+                .metrics(Arc::clone(&registry))
+                .metrics_sampler(Arc::clone(&sampler))
+                .control(ControlPolicy::slo_only())
+                .build();
+            let topology = host.topology();
+            assert_eq!(topology.shard_count(), 2);
+            let hashed = ShardedArray::new(4, 2).with_placement(Placement::Hash);
+            for g in 0..256 {
+                assert_eq!(topology.map_page(g), hashed.map_page(g), "page {g}");
+            }
+            assert_eq!(host.engine_mut().scheduler(), sched);
+            let ctrl = host.ctrl();
+            assert_eq!(ctrl.qos_policy().expect("installed").name(), "wfq");
+            assert!(Arc::ptr_eq(host.metrics().expect("installed"), &registry));
+            let controller = Arc::clone(host.controller().expect("installed"));
+
+            let report =
+                host.run_kernel(LaunchConfig::new(1, 64).with_registers(56), $kernel(ctrl));
+            assert!(!report.deadlocked);
+            // Threaded sink capture drains through the per-device mailboxes.
+            assert!(sink.0.load(Ordering::Relaxed) > 0, "sink was installed");
+            let snapshot = registry.snapshot();
+            for shard in 0..2 {
+                assert!(
+                    snapshot
+                        .get("agile_submit_lock_acquires_total", Labels::shard(shard))
+                        .is_some(),
+                    "topology collector registered for shard {shard}"
+                );
+            }
+            sampler.finish(host.now().raw());
+            assert!(
+                !sampler.windows().is_empty(),
+                "sampler bridged into the engine"
+            );
+            assert!(
+                controller.report().windows_seen > 0,
+                "controller reads the given sampler"
+            );
+        }};
+    }
+
     #[test]
-    fn builds_a_sharded_bam_host_with_sink() {
-        let sink = Arc::new(SubmitCounter::default());
-        let mut host = HostBuilder::bam(BamConfig::small_test())
-            .gpu(GpuConfig::tiny(2))
-            .devices(4, 1 << 12)
-            .shards(4)
-            .trace_sink(sink.clone() as Arc<_>)
-            .build();
-        assert_eq!(host.topology().shard_count(), 4);
-        let ctrl = host.ctrl();
-        let report = host.run_kernel(
-            LaunchConfig::new(1, 64).with_registers(56),
+    fn every_option_reaches_the_agile_host() {
+        assert_every_option_reaches_the_host!(
+            HostBuilder::agile(AgileConfig::small_test()),
+            |ctrl| Box::new(PrefetchComputeKernel::new(ctrl, 4, 3_000))
+        );
+    }
+
+    #[test]
+    fn every_option_reaches_the_bam_host() {
+        assert_every_option_reaches_the_host!(HostBuilder::bam(BamConfig::small_test()), |ctrl| {
             Box::new(crate::kernels::SyncReadComputeKernel::new(
                 ctrl, 2, 1_000, 50_000,
-            )),
-        );
-        assert!(!report.deadlocked);
-        assert!(sink.0.load(Ordering::Relaxed) > 0, "sink was installed");
+            ))
+        });
+    }
+
+    #[test]
+    fn agile_only_options_reach_the_agile_host() {
+        use agile_core::config::CachePolicyKind;
+        let host = HostBuilder::agile(AgileConfig::small_test())
+            .gpu(GpuConfig::tiny(2))
+            .devices(4, 1 << 12)
+            .shards(2)
+            .service_shards(2)
+            .cache_policy(CachePolicyKind::TenantShare)
+            .cache_shares(vec![3, 1])
+            .build();
+        assert_eq!(host.service_set().partitions().len(), 2);
+        let config = host.ctrl().config().clone();
+        assert_eq!(config.cache_policy, CachePolicyKind::TenantShare);
+        assert_eq!(config.cache_shares, vec![3, 1]);
+    }
+
+    #[test]
+    fn control_without_instruments_creates_them() {
+        let host = HostBuilder::bam(BamConfig::small_test())
+            .gpu(GpuConfig::tiny(1))
+            .devices(1, 1 << 12)
+            .control(ControlPolicy::slo_only())
+            .build();
+        assert!(host.metrics().is_some());
+        assert!(host.controller().is_some());
     }
 
     #[test]
@@ -517,19 +397,11 @@ mod tests {
     }
 
     #[test]
-    fn qos_policy_is_installed_on_both_systems() {
-        use agile_core::qos::WeightedFair;
-        let host = HostBuilder::agile(AgileConfig::small_test())
-            .gpu(GpuConfig::tiny(1))
+    #[should_panic(expected = "at least one lock shard")]
+    fn refuses_zero_lock_shards() {
+        let _ = HostBuilder::bam(BamConfig::small_test())
             .devices(1, 1 << 12)
-            .qos(Arc::new(WeightedFair::from_weights(&[3, 1])))
+            .shards(0)
             .build();
-        assert_eq!(host.ctrl().qos_policy().expect("installed").name(), "wfq");
-        let bam = HostBuilder::bam(BamConfig::small_test())
-            .gpu(GpuConfig::tiny(1))
-            .devices(1, 1 << 12)
-            .qos(Arc::new(WeightedFair::new()))
-            .build();
-        assert_eq!(bam.ctrl().qos_policy().expect("installed").name(), "wfq");
     }
 }

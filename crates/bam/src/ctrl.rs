@@ -19,7 +19,7 @@ use agile_metrics::MetricsRegistry;
 use agile_sim::costs::CostModel;
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::Cycles;
-use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, StorageTopology};
+use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, ShardedArray};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,7 +161,7 @@ pub struct BamCtrl {
     queues: Vec<Vec<Arc<AgileSq>>>,
     /// The storage topology behind the queues (striping map + modeled array
     /// lock). `None` in bare-queue unit rigs: submissions pay no lock cost.
-    topology: Option<Arc<dyn StorageTopology>>,
+    topology: Option<Arc<ShardedArray>>,
     cq_cursors: Vec<Vec<Mutex<CqCursor>>>,
     stats: StatCells,
     /// Optional trace recorder (same hook as the AGILE controller, so replay
@@ -190,7 +190,7 @@ impl BamCtrl {
     pub fn with_topology(
         cfg: BamConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<ShardedArray>,
     ) -> Self {
         BamCtrl::build(cfg, device_queues, Some(topology))
     }
@@ -198,7 +198,7 @@ impl BamCtrl {
     fn build(
         cfg: BamConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Option<Arc<dyn StorageTopology>>,
+        topology: Option<Arc<ShardedArray>>,
     ) -> Self {
         let cache = ShardedCache::new(
             CacheConfig::with_capacity(cfg.cache_bytes),
@@ -297,7 +297,7 @@ impl BamCtrl {
     }
 
     /// The attached storage topology, if any.
-    pub fn topology(&self) -> Option<&Arc<dyn StorageTopology>> {
+    pub fn topology(&self) -> Option<&Arc<ShardedArray>> {
         self.topology.as_ref()
     }
 

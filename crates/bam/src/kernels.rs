@@ -239,21 +239,30 @@ mod tests {
     use super::*;
     use crate::ctrl::BamConfig;
     use crate::host::BamHost;
+    use agile_core::host::{DeviceSpec, HostSpec};
     use gpu_sim::{GpuConfig, LaunchConfig};
+
+    /// One SSD behind a single 32-deep queue pair.
+    fn one_queue_host() -> BamHost {
+        let spec = HostSpec {
+            gpu: GpuConfig::tiny(2),
+            devices: vec![DeviceSpec {
+                pages: 1 << 20,
+                backing: None,
+            }],
+            ..HostSpec::default()
+        };
+        let config = BamConfig::small_test()
+            .with_queue_pairs(1)
+            .with_queue_depth(32);
+        BamHost::build(spec, config)
+    }
 
     /// Reproduces the §2.3.1 deadlock: tiny SQs, no completion processing
     /// while waiting ⇒ the engine's progress watchdog reports a deadlock.
     #[test]
     fn naive_async_deadlocks_on_full_queues() {
-        let mut host = BamHost::new(
-            GpuConfig::tiny(2),
-            BamConfig::small_test()
-                .with_queue_pairs(1)
-                .with_queue_depth(32),
-        );
-        host.add_nvme_dev(1 << 20);
-        host.init_nvme();
-        host.start();
+        let mut host = one_queue_host();
         host.engine_mut().set_deadlock_window(Cycles(2_000_000));
         let ctrl = host.ctrl();
         // 4 blocks × 2 warps × 64 requests = 512 requests onto one 32-deep SQ.
@@ -270,15 +279,7 @@ mod tests {
     /// The same workload with completion polling while stuck finishes.
     #[test]
     fn polling_variant_completes() {
-        let mut host = BamHost::new(
-            GpuConfig::tiny(2),
-            BamConfig::small_test()
-                .with_queue_pairs(1)
-                .with_queue_depth(32),
-        );
-        host.add_nvme_dev(1 << 20);
-        host.init_nvme();
-        host.start();
+        let mut host = one_queue_host();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(4, 64).with_registers(40),

@@ -4,9 +4,9 @@
 //! Three workload shapes (uniform, zipfian hot-set, multi-tenant mix) run on
 //! both systems; each row reports the latency distribution a serving stack
 //! would see, not just aggregate bandwidth. A second section compares the
-//! storage topologies at equal device count — the single-lock `FlatArray`
-//! against a `ShardedArray` (4 lock shards) — where the flat array's
-//! submission lock caps throughput and sharding restores the scaling. A
+//! storage topology's lock partitioning at equal device count — one lock
+//! shard (the default) against 4 — where the single submission lock caps
+//! throughput and sharding restores the scaling. A
 //! third section evaluates the QoS scheduler on a 9:1 noisy-neighbour mix
 //! over saturated SQs: the victim tenant's p99 must improve under
 //! `WeightedFair` without collapsing aggregate IOPS. A fourth section scales
@@ -146,7 +146,7 @@ fn main() {
 
     print_header(
         "Storage topology",
-        "FlatArray (one lock) vs ShardedArray (4 shards) at 8 SSDs, raw replay",
+        "ShardedArray: 1 lock shard vs 4 shards at 8 SSDs, raw replay",
     );
     let devices = 8u32;
     let topo_ops: u64 = if quick_mode() { 4_096 } else { 16_384 };

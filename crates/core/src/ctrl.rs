@@ -37,7 +37,7 @@ use agile_cache::{
 use agile_metrics::{Counter, CounterFamily, LabelDim, Labels, MetricsRegistry};
 use agile_sim::trace::{TraceEvent, TraceEventKind, TraceSink};
 use agile_sim::Cycles;
-use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, StorageTopology};
+use nvme_sim::{DmaHandle, Lba, NvmeCommand, Opcode, PageToken, QueuePair, ShardedArray};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -171,7 +171,7 @@ pub struct AgileCtrl {
     /// The storage topology behind the queues: striping map plus the modeled
     /// array lock charged on every submission. `None` in bare-queue unit
     /// rigs, in which case submissions pay no lock cost.
-    topology: Option<Arc<dyn StorageTopology>>,
+    topology: Option<Arc<ShardedArray>>,
     lock_registry: Option<LockRegistry>,
     stop_service: AtomicBool,
     stats: ApiStatCells,
@@ -214,11 +214,11 @@ impl AgileCtrl {
     /// Build a controller whose submissions are charged the topology's array
     /// lock and whose striped page space is resolvable through
     /// [`AgileCtrl::resolve_page`]. Normally constructed by
-    /// [`crate::host::AgileHost::init_nvme`].
+    /// [`crate::host::AgileHost::build`].
     pub fn with_topology(
         cfg: AgileConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Arc<dyn StorageTopology>,
+        topology: Arc<ShardedArray>,
     ) -> Self {
         AgileCtrl::build(cfg, device_queues, Some(topology))
     }
@@ -226,7 +226,7 @@ impl AgileCtrl {
     fn build(
         cfg: AgileConfig,
         device_queues: Vec<Vec<Arc<QueuePair>>>,
-        topology: Option<Arc<dyn StorageTopology>>,
+        topology: Option<Arc<ShardedArray>>,
     ) -> Self {
         let cache = ShardedCache::new(
             cfg.cache.clone(),
@@ -361,7 +361,7 @@ impl AgileCtrl {
     }
 
     /// The attached storage topology, if any.
-    pub fn topology(&self) -> Option<&Arc<dyn StorageTopology>> {
+    pub fn topology(&self) -> Option<&Arc<ShardedArray>> {
         self.topology.as_ref()
     }
 

@@ -1,56 +1,56 @@
 //! Host-side setup, execution and teardown — the Listing 1 flow.
 //!
-//! [`AgileHost`] mirrors the paper's host API:
+//! A host is described once, as plain data ([`HostSpec`]), and built in one
+//! call that returns it started: [`AgileHost::build`] here,
+//! `bam_baseline::BamHost::build` for the baseline. Both run the same
+//! [`assemble`] function, so the two systems are wired identically.
+//! `bam_baseline::HostBuilder` fills a spec through setters; this table maps
+//! each Listing 1 call to its builder method:
 //!
-//! | Listing 1 call | `AgileHost` method |
+//! | Listing 1 call | `HostBuilder` method |
 //! |---|---|
-//! | `AGILE_HOST host(...)` | [`AgileHost::new`] |
+//! | `AGILE_HOST host(...)` | `HostBuilder::agile(config)` / `.gpu(...)` |
 //! | `host.setGPUCache(...)` / `setShareTable(...)` | fields of [`crate::config::AgileConfig`] |
-//! | `host.addNvmeDev(...)` | [`AgileHost::add_nvme_dev`] / [`AgileHost::add_nvme_dev_with_backing`] |
-//! | `host.initNvme()` | [`AgileHost::init_nvme`] |
-//! | `host.initializeAgile(...)` | part of [`AgileHost::init_nvme`] (controller construction) |
+//! | `host.addNvmeDev(...)` | `.devices(count, pages)` / `.backing(pages, backing)` |
+//! | `host.initNvme()` + `host.initializeAgile(...)` + `host.startAgile()` | `.build()` |
 //! | `host.configKernelParallelism(...)` / `queryOccupancy(...)` | [`AgileHost::query_occupancy`] |
-//! | `host.startAgile()` | [`AgileHost::start_agile`] |
 //! | `host.runKernel(kernel, args...)` | [`AgileHost::run_kernel`] |
 //! | `host.stopAgile()` | [`AgileHost::stop_agile`] |
-//! | `host.closeNvme()` | [`AgileHost::close_nvme`] |
+//! | `host.closeNvme()` | dropping the host |
 //!
-//! New code should not drive this order-sensitive sequence by hand: build
-//! hosts through `bam_baseline::HostBuilder`, which runs the flow in the
-//! only valid order and returns a started host. The common surface both the
-//! AGILE host and the BaM baseline host expose afterwards is the
-//! [`GpuStorageHost`] trait, so AGILE-vs-BaM harness code is written once.
+//! The common surface both hosts expose afterwards is the [`GpuStorageHost`]
+//! trait, so AGILE-vs-BaM harness code is written once.
 //!
-//! The host also owns the co-simulation plumbing: it builds a
-//! [`StorageTopology`] (a single-lock [`nvme_sim::FlatArray`], or a
-//! [`nvme_sim::ShardedArray`] when [`AgileHost::set_shards`] was called),
-//! bridges it into the GPU engine as an [`gpu_sim::ExternalDevice`], and
-//! launches the persistent AGILE service kernel before user kernels run.
+//! The assembly also owns the co-simulation plumbing: it builds the
+//! [`ShardedArray`] topology, bridges each of its devices into the GPU
+//! engine as a [`DeviceSsdBridge`], and — on AGILE — launches the
+//! persistent service kernels before user kernels run.
 
 use crate::config::AgileConfig;
 use crate::control::knob_set;
 use crate::ctrl::AgileCtrl;
 use crate::qos::QosPolicy;
 use crate::service::{auto_service_warps, AgileServiceKernel, ServicePartition, ServiceSet};
-use crate::telemetry::{CacheCollector, MetricsBridge, ServiceCollector, TopologyCollector};
-use agile_control::{ControlBridge, ControlPolicy, Controller, SloSpec};
+use crate::telemetry::{
+    CacheCollector, CacheStatsProvider, MetricsBridge, ServiceCollector, TopologyCollector,
+};
+use agile_control::{ControlBridge, ControlPolicy, Controller, KnobSet, SloSpec};
 use agile_metrics::{MetricsRegistry, WindowedSampler};
+use agile_sim::costs::SsdCosts;
 use agile_sim::trace::{BufferedSink, TraceSink};
 use agile_sim::Cycles;
 use gpu_sim::registers::agile_footprints;
 use gpu_sim::{
-    occupancy, Engine, EngineSched, ExecutionReport, ExternalDevice, GpuConfig, KernelFactory,
-    LaunchConfig,
+    occupancy, Engine, EngineMetrics, EngineSched, ExecutionReport, ExternalDevice, GpuConfig,
+    KernelFactory, LaunchConfig,
 };
-use nvme_sim::{
-    FlatArray, MemBacking, PageBacking, Placement, ShardedArray, SsdConfig, StorageTopology,
-};
+use nvme_sim::{MemBacking, PageBacking, Placement, QueuePair, ShardedArray, SsdConfig};
 use std::sync::Arc;
 
 /// The common host surface shared by the AGILE host and the BaM baseline
-/// host: controller access, trace capture, kernel execution and storage
-/// introspection. Harness code (benchmarks, experiments, replay) written
-/// against this trait runs unchanged on either system.
+/// host: controller access, kernel execution and storage introspection.
+/// Harness code (benchmarks, experiments, replay) written against this
+/// trait runs unchanged on either system.
 pub trait GpuStorageHost {
     /// The system's controller type (`AgileCtrl` / `BamCtrl`).
     type Ctrl;
@@ -58,18 +58,8 @@ pub trait GpuStorageHost {
     /// The controller warp kernels hold an `Arc` to.
     fn ctrl(&self) -> Arc<Self::Ctrl>;
 
-    /// Install one trace sink across the whole stack (controller submit
-    /// path, software cache, every SSD's completion path). The first sink
-    /// installed wins; returns `false` if one was already present.
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool;
-
-    /// Install a QoS policy arbitrating tenant-attributed SQ admission on the
-    /// controller. The first policy installed wins; returns `false` if one
-    /// was already present. Without a policy the stack behaves as FIFO.
-    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
-
     /// The storage topology (striping map, device statistics, lock model).
-    fn topology(&self) -> Arc<dyn StorageTopology>;
+    fn topology(&self) -> Arc<ShardedArray>;
 
     /// The page backing of device `dev` (for pre-populating datasets).
     fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
@@ -93,75 +83,22 @@ pub trait GpuStorageHost {
     fn stop(&mut self);
 }
 
-/// Bridges a storage topology into the GPU engine's device list.
-pub struct SsdBridge {
-    topology: Arc<dyn StorageTopology>,
-}
-
-impl SsdBridge {
-    /// Wrap a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>) -> Self {
-        SsdBridge { topology }
-    }
-}
-
-impl ExternalDevice for SsdBridge {
-    fn advance_to(&mut self, now: Cycles) {
-        self.topology.advance_to(now);
-    }
-    fn next_event_time(&mut self) -> Option<Cycles> {
-        self.topology.next_event_time()
-    }
-    fn quiescent(&self) -> bool {
-        self.topology.quiescent()
-    }
-}
-
-/// Bridges a single lock shard of a storage topology into the engine as a
-/// shard-affine device: one `ShardSsdBridge` per topology shard, registered
-/// in shard order so sequential schedulers advance shards exactly as the
-/// whole-topology [`SsdBridge`] did, and [`EngineSched::ParallelShards`] can
-/// partition them across worker threads.
-pub struct ShardSsdBridge {
-    topology: Arc<dyn StorageTopology>,
-    shard: usize,
-}
-
-impl ShardSsdBridge {
-    /// Wrap one shard of a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>, shard: usize) -> Self {
-        ShardSsdBridge { topology, shard }
-    }
-}
-
-impl ExternalDevice for ShardSsdBridge {
-    fn advance_to(&mut self, now: Cycles) {
-        self.topology.advance_shard_to(self.shard, now);
-    }
-    fn next_event_time(&mut self) -> Option<Cycles> {
-        self.topology.shard_next_event_time(self.shard)
-    }
-    fn quiescent(&self) -> bool {
-        self.topology.shard_quiescent(self.shard)
-    }
-}
-
-/// Bridges a single *storage device* of a topology into the engine — the
+/// Bridges a single *storage device* of the topology into the engine — the
 /// device-affine partition grain. One `DeviceSsdBridge` per device,
-/// registered in [`StorageTopology::device_advance_order`] (shard-major)
-/// order so sequential schedulers advance devices exactly as the shard
-/// bridges did, while [`EngineSched::ParallelShards`] partitions work at
-/// device rather than lock-shard granularity — a `shards = 1` fleet no
-/// longer collapses onto one worker. Lock-shard state is only ever touched
-/// from the coordinator's submit path, so it stays single-writer.
+/// registered in [`ShardedArray::device_advance_order`] (shard-major) order
+/// so sequential schedulers advance devices in the golden-gated order,
+/// while [`EngineSched::ParallelShards`] partitions work at device rather
+/// than lock-shard granularity — a `shards = 1` fleet does not collapse
+/// onto one worker. Lock-shard state is only ever touched from the
+/// coordinator's submit path, so it stays single-writer.
 pub struct DeviceSsdBridge {
-    topology: Arc<dyn StorageTopology>,
+    topology: Arc<ShardedArray>,
     dev: usize,
 }
 
 impl DeviceSsdBridge {
     /// Wrap one device of a shared topology.
-    pub fn new(topology: Arc<dyn StorageTopology>, dev: usize) -> Self {
+    pub fn new(topology: Arc<ShardedArray>, dev: usize) -> Self {
         DeviceSsdBridge { topology, dev }
     }
 }
@@ -178,415 +115,321 @@ impl ExternalDevice for DeviceSsdBridge {
     }
 }
 
-/// The AGILE host: owns the GPU engine, the storage topology and the
-/// controller.
+// ---------------------------------------------------------------------------
+// HostSpec and the shared assembly
+// ---------------------------------------------------------------------------
+
+/// One SSD to create at build time.
+#[derive(Clone)]
+pub struct DeviceSpec {
+    /// Namespace capacity in 4 KiB pages.
+    pub pages: u64,
+    /// Page backing; `None` gives the device a fresh in-memory backing.
+    pub backing: Option<Arc<dyn PageBacking>>,
+}
+
+/// Everything a host is built from apart from the system's own
+/// configuration (`AgileConfig` / `BamConfig`), as plain data. Consumed
+/// once by [`AgileHost::build`] / `BamHost::build`; usually filled through
+/// `bam_baseline::HostBuilder`'s setters.
+pub struct HostSpec {
+    /// Simulated GPU (default: the paper's RTX 5000 Ada).
+    pub gpu: GpuConfig,
+    /// SSDs in device-index order; at least one.
+    pub devices: Vec<DeviceSpec>,
+    /// Lock shards of the storage topology (≥ 1; 1 is the paper's
+    /// single-lock array).
+    pub shards: usize,
+    /// Placement seed of the striping layer.
+    pub placement: Placement,
+    /// Shard-affine AGILE service partitions (≥ 1; 1 is the paper's single
+    /// service). The BaM baseline has no service and ignores it.
+    pub service_shards: usize,
+    /// Scheduling loop of the engine.
+    pub engine_sched: EngineSched,
+    /// Trace sink installed across the whole stack before the first kernel.
+    pub trace_sink: Option<Arc<dyn TraceSink>>,
+    /// QoS policy arbitrating tenant-attributed SQ admission (`None` =
+    /// FIFO).
+    pub qos: Option<Arc<dyn QosPolicy>>,
+    /// Metrics registry instrumenting the whole stack.
+    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Windowed sampler, bridged into the engine as a passive device.
+    pub sampler: Option<Arc<WindowedSampler>>,
+    /// Closed-loop control policy. Implies metrics: a missing registry or
+    /// sampler is created at build time (window [`DEFAULT_CONTROL_WINDOW`]).
+    pub control: Option<ControlPolicy>,
+    /// Per-tenant SLOs the control plane enforces.
+    pub slos: Vec<SloSpec>,
+}
+
+impl Default for HostSpec {
+    fn default() -> Self {
+        HostSpec {
+            gpu: GpuConfig::rtx_5000_ada(),
+            devices: Vec::new(),
+            shards: 1,
+            placement: Placement::default(),
+            service_shards: 1,
+            engine_sched: EngineSched::default(),
+            trace_sink: None,
+            qos: None,
+            metrics: None,
+            sampler: None,
+            control: None,
+            slos: Vec::new(),
+        }
+    }
+}
+
+/// Sampler window (cycles) created when a spec requests the control plane
+/// without a sampler — matches the replay harness's default metrics window.
+pub const DEFAULT_CONTROL_WINDOW: u64 = 500_000;
+
+/// The system-specific half of host assembly: how a controller is built
+/// over the topology's queues and wired into the stack. Implemented by
+/// [`AgileCtrl`] and `bam_baseline::BamCtrl`.
+pub trait HostCtrl: CacheStatsProvider + Sized + 'static {
+    /// The system's configuration type.
+    type Config;
+
+    /// The SSD timing model, queue pairs per SSD and queue depth.
+    fn storage(config: &Self::Config) -> (&SsdCosts, usize, u32);
+
+    /// Build the controller over every device's registered queue pairs.
+    fn with_topology(
+        config: Self::Config,
+        queues: Vec<Vec<Arc<QueuePair>>>,
+        topology: Arc<ShardedArray>,
+    ) -> Self;
+
+    /// Install the trace sink on the submit, completion and cache paths.
+    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool;
+
+    /// Install the QoS policy on the tenant-attributed submission path.
+    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool;
+
+    /// Bind the submit-path instruments.
+    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool;
+
+    /// The knobs the control plane may actuate on this system.
+    fn knob_set(ctrl: &Arc<Self>) -> KnobSet;
+}
+
+impl HostCtrl for AgileCtrl {
+    type Config = AgileConfig;
+
+    fn storage(config: &AgileConfig) -> (&SsdCosts, usize, u32) {
+        (
+            &config.costs.ssd,
+            config.queue_pairs_per_ssd,
+            config.queue_depth,
+        )
+    }
+    fn with_topology(
+        config: AgileConfig,
+        queues: Vec<Vec<Arc<QueuePair>>>,
+        topology: Arc<ShardedArray>,
+    ) -> Self {
+        AgileCtrl::with_topology(config, queues, topology)
+    }
+    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
+        AgileCtrl::set_trace_sink(self, sink)
+    }
+    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
+        AgileCtrl::set_qos_policy(self, policy)
+    }
+    fn bind_metrics(&self, registry: &Arc<MetricsRegistry>) -> bool {
+        AgileCtrl::bind_metrics(self, registry)
+    }
+    fn knob_set(ctrl: &Arc<Self>) -> KnobSet {
+        knob_set(ctrl)
+    }
+}
+
+/// A storage stack and a ready engine, assembled from a [`HostSpec`] — the
+/// part both hosts share. The engine has every device bridge, trace
+/// mailbox and passive device registered but no kernel launched yet.
+pub struct Assembly<C> {
+    /// The storage topology.
+    pub topology: Arc<ShardedArray>,
+    /// The system's controller.
+    pub ctrl: Arc<C>,
+    /// The GPU engine.
+    pub engine: Engine,
+    /// The metrics registry, when instrumented.
+    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// The live control plane, when requested.
+    pub controller: Option<Arc<Controller>>,
+}
+
+/// Build a host's storage stack and engine from `spec`, in the one valid
+/// order: topology → queues → controller → trace sink, QoS policy and
+/// metrics collectors → engine with per-device bridges, trace mailboxes,
+/// sampler and control-plane devices.
+///
+/// Panics on invalid input: no devices, or zero lock shards.
+pub fn assemble<C: HostCtrl>(spec: HostSpec, config: C::Config) -> Assembly<C> {
+    assert!(
+        !spec.devices.is_empty(),
+        "a host needs at least one device — call .devices(n, pages)"
+    );
+    assert!(
+        spec.shards >= 1,
+        "the topology needs at least one lock shard"
+    );
+    let (ssd_costs, queue_pairs, queue_depth) = C::storage(&config);
+    let parts = spec
+        .devices
+        .into_iter()
+        .enumerate()
+        .map(|(id, dev)| {
+            let id = id as u32;
+            let cfg = SsdConfig {
+                id,
+                costs: ssd_costs.clone(),
+                namespace_pages: dev.pages,
+                clock_ghz: spec.gpu.clock_ghz,
+            };
+            let backing = dev
+                .backing
+                .unwrap_or_else(|| Arc::new(MemBacking::new(id)) as Arc<dyn PageBacking>);
+            (cfg, backing)
+        })
+        .collect();
+    let topology =
+        Arc::new(ShardedArray::from_parts(parts, spec.shards).with_placement(spec.placement));
+    let queues = topology.register_queues(queue_pairs, queue_depth);
+    let ctrl = Arc::new(C::with_topology(config, queues, Arc::clone(&topology)));
+
+    // Under a threaded engine each device's completion path records into a
+    // private buffer drained into the sink in shard-major device order at
+    // every epoch boundary, so the merged stream equals a sequential run's.
+    let threaded = matches!(spec.engine_sched, EngineSched::ParallelShards(n) if n > 1);
+    let mut mailboxes = Vec::new();
+    if let Some(sink) = &spec.trace_sink {
+        ctrl.set_trace_sink(Arc::clone(sink));
+        if threaded {
+            for dev in topology.device_advance_order() {
+                let buffered = Arc::new(BufferedSink::new(Arc::clone(sink)));
+                topology.set_device_trace_sink(dev, &(Arc::clone(&buffered) as Arc<dyn TraceSink>));
+                mailboxes.push(buffered);
+            }
+        } else {
+            topology.set_trace_sink(sink);
+        }
+    }
+    if let Some(policy) = spec.qos {
+        ctrl.set_qos_policy(policy);
+    }
+    let (metrics, sampler) = match spec.control {
+        None => (spec.metrics, spec.sampler),
+        Some(_) => {
+            let registry = spec.metrics.unwrap_or_default();
+            let sampler = spec.sampler.unwrap_or_else(|| {
+                WindowedSampler::new(Arc::clone(&registry), DEFAULT_CONTROL_WINDOW)
+            });
+            (Some(registry), Some(sampler))
+        }
+    };
+    if let Some(registry) = &metrics {
+        ctrl.bind_metrics(registry);
+        registry.register_collector(Box::new(CacheCollector::new(Arc::clone(&ctrl) as _)));
+        registry.register_collector(Box::new(TopologyCollector::new(Arc::clone(&topology))));
+    }
+
+    let mut engine = Engine::new(spec.gpu);
+    engine.set_scheduler(spec.engine_sched);
+    for dev in topology.device_advance_order() {
+        engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
+    }
+    for buffered in mailboxes {
+        engine.add_mailbox(buffered);
+    }
+    if let Some(registry) = &metrics {
+        engine.set_metrics(EngineMetrics::bind(registry));
+    }
+    if let Some(sampler) = &sampler {
+        engine.add_device(Box::new(MetricsBridge::new(Arc::clone(sampler))));
+    }
+    let controller = spec.control.zip(sampler).map(|(policy, sampler)| {
+        let controller = Controller::new(
+            policy,
+            spec.slos,
+            C::knob_set(&ctrl),
+            sampler,
+            engine.gpu().clock_ghz,
+            metrics.as_ref(),
+        );
+        if let Some(sink) = spec.trace_sink {
+            controller.set_trace_sink(sink);
+        }
+        engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
+        controller
+    });
+    Assembly {
+        topology,
+        ctrl,
+        engine,
+        metrics,
+        controller,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AgileHost
+// ---------------------------------------------------------------------------
+
+/// The AGILE host: owns the GPU engine, the storage topology, the
+/// controller and the running service.
 pub struct AgileHost {
-    gpu: GpuConfig,
-    config: AgileConfig,
-    pending_devices: Vec<(SsdConfig, Arc<dyn PageBacking>)>,
-    /// 0 = flat (single lock); ≥ 1 = sharded with that many lock shards.
-    shards: usize,
-    /// Placement seed of the striping layer (interleave by default).
-    placement: Placement,
-    /// Shard-affine service partitions (one persistent kernel each);
-    /// 1 = the paper's single service, bit-identical.
-    service_shards: usize,
-    /// Scheduling loop of the engine (event-driven ready-queue by default).
-    engine_sched: EngineSched,
-    /// Epoch-barrier spin limit override for threaded schedulers
-    /// (`None` = the engine's default).
-    barrier_spin_limit: Option<u32>,
-    topology: Option<Arc<dyn StorageTopology>>,
-    ctrl: Option<Arc<AgileCtrl>>,
-    service: Option<ServiceSet>,
-    engine: Option<Engine>,
-    service_started: bool,
-    /// Optional metrics registry instrumenting the whole stack.
-    metrics: Option<Arc<MetricsRegistry>>,
-    /// Optional windowed sampler, bridged into the engine at start.
-    sampler: Option<Arc<WindowedSampler>>,
-    /// Pending control-plane request, consumed at [`AgileHost::start_agile`].
-    control: Option<(ControlPolicy, Vec<SloSpec>)>,
-    /// The live controller, once started with a control plane.
-    controller: Option<Arc<Controller>>,
-    /// Per-shard trace buffers, present only when a sink is installed under a
-    /// threaded engine; drained as epoch mailboxes at [`AgileHost::start_agile`].
-    trace_buffers: std::sync::Mutex<Vec<Arc<BufferedSink>>>,
+    stack: Assembly<AgileCtrl>,
+    service: ServiceSet,
 }
 
 impl AgileHost {
-    /// Create a host for the given GPU and AGILE configuration.
-    pub fn new(gpu: GpuConfig, config: AgileConfig) -> Self {
+    /// Build and start an AGILE host: [`assemble`] the stack, then launch
+    /// one persistent service kernel per service shard. Each kernel uses
+    /// the configured `service_blocks`/`service_warps` geometry (or the
+    /// auto-sized one), so scaling the service out adds polling warps in
+    /// proportion.
+    ///
+    /// Panics unless the queue depth is a power of two ≥ 32 (warp-window
+    /// polling) and there is at least one service shard, and on the input
+    /// [`assemble`] rejects.
+    pub fn build(spec: HostSpec, config: AgileConfig) -> Self {
         assert!(
             config.queue_depth.is_power_of_two() && config.queue_depth >= 32,
             "queue depth must be a power of two ≥ 32 (warp-window polling)"
         );
-        AgileHost {
-            gpu,
-            config,
-            pending_devices: Vec::new(),
-            shards: 0,
-            placement: Placement::default(),
-            service_shards: 1,
-            engine_sched: EngineSched::default(),
-            barrier_spin_limit: None,
-            topology: None,
-            ctrl: None,
-            service: None,
-            engine: None,
-            service_started: false,
-            metrics: None,
-            sampler: None,
-            control: None,
-            controller: None,
-            trace_buffers: std::sync::Mutex::new(Vec::new()),
+        assert!(
+            spec.service_shards >= 1,
+            "the service needs at least one partition"
+        );
+        let service_shards = spec.service_shards;
+        let mut stack = assemble::<AgileCtrl>(spec, config);
+        let service = ServiceSet::new(&stack.ctrl, service_shards);
+        if let Some(registry) = &stack.metrics {
+            registry.register_collector(Box::new(ServiceCollector::new(
+                service.partitions().to_vec(),
+            )));
         }
-    }
-
-    /// Whether the configured engine scheduler actually runs worker threads.
-    fn threaded_engine(&self) -> bool {
-        matches!(self.engine_sched, EngineSched::ParallelShards(n) if n > 1)
-    }
-
-    /// The GPU configuration.
-    pub fn gpu(&self) -> &GpuConfig {
-        &self.gpu
-    }
-
-    /// The AGILE configuration.
-    pub fn config(&self) -> &AgileConfig {
-        &self.config
-    }
-
-    /// Partition the storage into `shards` lock shards (build a
-    /// [`ShardedArray`] instead of the default single-lock [`FlatArray`]).
-    /// Must be called before [`AgileHost::init_nvme`].
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(
-            self.topology.is_none(),
-            "set_shards must be called before init_nvme"
-        );
-        self.shards = shards;
-    }
-
-    /// Select the striping layer's placement seed
-    /// ([`Placement::Interleave`] by default — the golden-guarded paper
-    /// layout). Must be called before [`AgileHost::init_nvme`].
-    pub fn set_placement(&mut self, placement: Placement) {
-        assert!(
-            self.topology.is_none(),
-            "set_placement must be called before init_nvme"
-        );
-        self.placement = placement;
-    }
-
-    /// Scale the AGILE service out to `shards` shard-affine partitions, one
-    /// persistent kernel each (see [`crate::service::ServiceSet`]). The
-    /// default of 1 is the paper's single service, bit for bit. Must be
-    /// called before [`AgileHost::start_agile`].
-    pub fn set_service_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "the service needs at least one partition");
-        assert!(
-            !self.service_started,
-            "set_service_shards must be called before start_agile"
-        );
-        self.service_shards = shards;
-    }
-
-    /// Select the engine's scheduling loop (default: the event-driven
-    /// ready-queue). Must be called before [`AgileHost::start_agile`].
-    pub fn set_engine_sched(&mut self, sched: EngineSched) {
-        assert!(
-            !self.service_started,
-            "set_engine_sched must be called before start_agile"
-        );
-        self.engine_sched = sched;
-    }
-
-    /// Override the threaded engine's epoch-barrier spin limit (spins per
-    /// worker before falling back to `thread::yield_now`; see
-    /// [`gpu_sim::Engine::set_barrier_spin_limit`]). Purely a host-CPU
-    /// latency/throughput trade — simulated time is bit-identical at any
-    /// setting. Must be called before [`AgileHost::start_agile`].
-    pub fn set_barrier_spin_limit(&mut self, limit: u32) {
-        assert!(
-            !self.service_started,
-            "set_barrier_spin_limit must be called before start_agile"
-        );
-        self.barrier_spin_limit = Some(limit);
-    }
-
-    /// Register an SSD with `namespace_pages` 4 KiB pages and a default
-    /// in-memory backing. Returns the device index.
-    pub fn add_nvme_dev(&mut self, namespace_pages: u64) -> usize {
-        let id = self.pending_devices.len() as u32;
-        let backing: Arc<dyn PageBacking> = Arc::new(MemBacking::new(id));
-        self.add_backed(namespace_pages, backing)
-    }
-
-    /// Register an SSD with a caller-supplied backing (synthetic content,
-    /// payload-carrying, …). Returns the device index.
-    pub fn add_nvme_dev_with_backing(
-        &mut self,
-        namespace_pages: u64,
-        backing: Arc<dyn PageBacking>,
-    ) -> usize {
-        self.add_backed(namespace_pages, backing)
-    }
-
-    fn add_backed(&mut self, namespace_pages: u64, backing: Arc<dyn PageBacking>) -> usize {
-        assert!(
-            self.topology.is_none(),
-            "add_nvme_dev must be called before init_nvme"
-        );
-        let id = self.pending_devices.len() as u32;
-        let cfg = SsdConfig {
-            id,
-            costs: self.config.costs.ssd.clone(),
-            namespace_pages,
-            clock_ghz: self.gpu.clock_ghz,
-        };
-        self.pending_devices.push((cfg, backing));
-        id as usize
-    }
-
-    /// Build the storage topology, create and register the I/O queue pairs
-    /// in (simulated) pinned GPU memory, and construct the AGILE controller
-    /// — `initNvme()` + `initializeAgile()` of Listing 1.
-    pub fn init_nvme(&mut self) {
-        assert!(!self.pending_devices.is_empty(), "no NVMe devices added");
-        assert!(self.topology.is_none(), "init_nvme called twice");
-        let parts = std::mem::take(&mut self.pending_devices);
-        let topology: Arc<dyn StorageTopology> = if self.shards == 0 {
-            Arc::new(FlatArray::from_parts(parts).with_placement(self.placement))
-        } else {
-            Arc::new(ShardedArray::from_parts(parts, self.shards).with_placement(self.placement))
-        };
-        let per_device_queues =
-            topology.register_queues(self.config.queue_pairs_per_ssd, self.config.queue_depth);
-        self.ctrl = Some(Arc::new(AgileCtrl::with_topology(
-            self.config.clone(),
-            per_device_queues,
-            Arc::clone(&topology),
-        )));
-        self.topology = Some(topology);
-    }
-
-    /// The controller (available after [`AgileHost::init_nvme`]).
-    pub fn ctrl(&self) -> Arc<AgileCtrl> {
-        Arc::clone(self.ctrl.as_ref().expect("init_nvme not called"))
-    }
-
-    /// Install one trace sink across the whole stack: the controller's
-    /// submit/doorbell path, the software cache's lookup path, and every
-    /// SSD's completion path. Call after [`AgileHost::init_nvme`]; the first
-    /// sink installed wins (returns `false` if one was already present).
-    /// Recording costs one atomic load per hook when enabled-but-absent.
-    ///
-    /// Under a threaded engine ([`EngineSched::ParallelShards`] with more
-    /// than one thread) each *device*'s completion path records into a
-    /// private [`BufferedSink`] drained into `sink` in fixed shard-major
-    /// device order at every epoch boundary, so the merged event stream is
-    /// identical to a sequential run. Choose the scheduler (via
-    /// [`AgileHost::set_engine_sched`]) *before* installing the sink.
-    pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        let ctrl_fresh = self.ctrl().set_trace_sink(Arc::clone(&sink));
-        let dev_fresh = if self.threaded_engine() {
-            let topology = self.topology();
-            let mut buffers = self.trace_buffers.lock().unwrap();
-            let mut all_fresh = true;
-            for dev in topology.device_advance_order() {
-                let buffered = Arc::new(BufferedSink::new(Arc::clone(&sink)));
-                let as_sink: Arc<dyn TraceSink> = Arc::clone(&buffered) as Arc<dyn TraceSink>;
-                if topology.set_device_trace_sink(dev, &as_sink) {
-                    buffers.push(buffered);
-                } else {
-                    all_fresh = false;
-                }
-            }
-            all_fresh
-        } else {
-            self.topology().set_trace_sink(&sink)
-        };
-        ctrl_fresh && dev_fresh
-    }
-
-    /// Install a QoS policy on the controller's tenant-attributed submission
-    /// path. Call after [`AgileHost::init_nvme`]; the first policy installed
-    /// wins (returns `false` otherwise). See [`crate::qos`].
-    pub fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        self.ctrl().set_qos_policy(policy)
-    }
-
-    /// Instrument the stack with `registry`: the controller's submit path
-    /// gains direct counters, and the cache / topology / device statistics
-    /// are exported through snapshot-time collectors (zero hot-path cost —
-    /// see [`crate::telemetry`]). Call after [`AgileHost::init_nvme`] and
-    /// before [`AgileHost::start_agile`] (the engine and service bind at
-    /// start). Without a registry every metrics hook is a no-op.
-    pub fn set_metrics(&mut self, registry: Arc<MetricsRegistry>) {
-        assert!(
-            self.ctrl.is_some(),
-            "set_metrics must be called after init_nvme"
-        );
-        assert!(
-            !self.service_started,
-            "set_metrics must be called before start_agile"
-        );
-        let ctrl = self.ctrl();
-        ctrl.bind_metrics(&registry);
-        registry.register_collector(Box::new(CacheCollector::new(ctrl)));
-        registry.register_collector(Box::new(TopologyCollector::new(self.topology())));
-        self.metrics = Some(registry);
-    }
-
-    /// Attach a windowed sampler, bridged into the engine as a passive
-    /// device at [`AgileHost::start_agile`]: it observes the simulated clock
-    /// every scheduling round without perturbing event timing. Call before
-    /// `start_agile`.
-    pub fn set_metrics_sampler(&mut self, sampler: Arc<WindowedSampler>) {
-        assert!(
-            !self.service_started,
-            "set_metrics_sampler must be called before start_agile"
-        );
-        self.sampler = Some(sampler);
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
-    }
-
-    /// Request the closed-loop control plane: at [`AgileHost::start_agile`]
-    /// a deterministic [`Controller`] is built over the installed sampler's
-    /// window stream (a sampler is required — install one with
-    /// [`AgileHost::set_metrics_sampler`]), actuating the full AGILE knob
-    /// set (prefetch depth, idle backoff, and — when a QoS policy / share
-    /// policy is installed — WFQ weights and cache shares) for the declared
-    /// `slos`, and bridged into the engine as a passive device. Call after
-    /// any [`AgileHost::set_qos_policy`] so the WFQ knob is picked up.
-    pub fn set_control(&mut self, policy: ControlPolicy, slos: Vec<SloSpec>) {
-        assert!(
-            !self.service_started,
-            "set_control must be called before start_agile"
-        );
-        self.control = Some((policy, slos));
-    }
-
-    /// The live controller, when the host was started with a control plane.
-    pub fn controller(&self) -> Option<&Arc<Controller>> {
-        self.controller.as_ref()
-    }
-
-    /// The AGILE service set (available after [`AgileHost::start_agile`]).
-    pub fn service_set(&self) -> &ServiceSet {
-        self.service.as_ref().expect("start_agile not called")
-    }
-
-    /// The first service partition — the whole service when
-    /// `service_shards == 1` (available after [`AgileHost::start_agile`]).
-    pub fn service(&self) -> Arc<ServicePartition> {
-        Arc::clone(&self.service_set().partitions()[0])
-    }
-
-    /// The shared storage topology (for workload setup and statistics).
-    pub fn topology(&self) -> Arc<dyn StorageTopology> {
-        Arc::clone(self.topology.as_ref().expect("init_nvme not called"))
-    }
-
-    /// The page backing of device `dev` (for pre-populating datasets).
-    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
-        self.topology().backing(dev)
-    }
-
-    /// `queryOccupancy`: maximum resident blocks per SM for a launch.
-    pub fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
-        occupancy(&self.gpu, launch)
-    }
-
-    /// Create the GPU engine, attach the SSD bridge and launch the
-    /// persistent AGILE service kernels — `startAgile()`. One kernel per
-    /// service shard (see [`AgileHost::set_service_shards`]); each kernel
-    /// uses the configured `service_blocks`/`service_warps` geometry, so
-    /// scaling the service out adds polling warps in proportion.
-    pub fn start_agile(&mut self) {
-        assert!(self.ctrl.is_some(), "init_nvme must run before start_agile");
-        assert!(!self.service_started, "start_agile called twice");
-        let mut engine = Engine::new(self.gpu.clone());
-        engine.set_scheduler(self.engine_sched);
-        if let Some(limit) = self.barrier_spin_limit {
-            engine.set_barrier_spin_limit(limit);
-        }
-        let topology = self.topology();
-        // Device-affine partition grain: one bridge per storage device, in
-        // shard-major advance order (bit-identical to the sequential shard
-        // walk), so ParallelShards spreads a shards=1 fleet across every
-        // worker instead of leaving all but one idle.
-        for dev in topology.device_advance_order() {
-            engine.add_shard_device(Box::new(DeviceSsdBridge::new(Arc::clone(&topology), dev)));
-        }
-        {
-            let buffers = self.trace_buffers.lock().unwrap();
-            assert!(
-                !(self.threaded_engine()
-                    && self.ctrl().trace_sink().is_some()
-                    && buffers.is_empty()),
-                "trace sink installed before the ParallelShards scheduler was \
-                 selected; call set_engine_sched before set_trace_sink"
-            );
-            for buffered in buffers.iter() {
-                engine.add_mailbox(Arc::clone(buffered) as Arc<dyn gpu_sim::EpochMailbox>);
-            }
-        }
-        if let Some(registry) = &self.metrics {
-            engine.set_metrics(gpu_sim::EngineMetrics::bind(registry));
-        }
-        if let Some(sampler) = &self.sampler {
-            engine.add_device(Box::new(MetricsBridge::new(Arc::clone(sampler))));
-        }
-        if let Some((policy, slos)) = self.control.take() {
-            let sampler = self
-                .sampler
-                .as_ref()
-                .expect("set_control requires a windowed sampler (set_metrics_sampler)");
-            let ctrl = self.ctrl();
-            let controller = Controller::new(
-                policy,
-                slos,
-                knob_set(&ctrl),
-                Arc::clone(sampler),
-                self.gpu.clock_ghz,
-                self.metrics.as_ref(),
-            );
-            if let Some(sink) = ctrl.trace_sink() {
-                controller.set_trace_sink(Arc::clone(sink));
-            }
-            engine.add_device(Box::new(ControlBridge::new(Arc::clone(&controller))));
-            self.controller = Some(controller);
-        }
-
-        let ctrl = self.ctrl();
-        ctrl.reset_service_stop();
-        let set = ServiceSet::new(&ctrl, self.service_shards);
-        if let Some(registry) = &self.metrics {
-            registry.register_collector(Box::new(ServiceCollector::new(set.partitions().to_vec())));
-        }
-
-        let blocks = self.config.service_blocks.max(1);
-        for partition in set.partitions() {
+        let config = stack.ctrl.config();
+        let blocks = config.service_blocks.max(1);
+        for partition in service.partitions() {
             // Fixed geometry by default (the paper's, bit-identical); with
             // auto-sizing on, each partition derives its warp count from the
             // CQs it owns, so scale-out does not multiply idle pollers.
-            let total_warps = if self.config.auto_service_warps {
+            let total_warps = if config.auto_service_warps {
                 auto_service_warps(partition.target_count())
             } else {
-                self.config.service_warps.max(1)
+                config.service_warps.max(1)
             };
             let warps_per_block = total_warps.div_ceil(blocks);
-            let launch = LaunchConfig::new(blocks, warps_per_block * self.gpu.warp_size)
+            let launch = LaunchConfig::new(blocks, warps_per_block * stack.engine.gpu().warp_size)
                 .with_registers(agile_footprints::SERVICE_KERNEL_REGISTERS)
                 .persistent();
-            engine.launch(
+            stack.engine.launch(
                 launch,
                 Box::new(AgileServiceKernel::new(
                     Arc::clone(partition),
@@ -595,14 +438,53 @@ impl AgileHost {
                 )),
             );
         }
-        self.service = Some(set);
-        self.engine = Some(engine);
-        self.service_started = true;
+        AgileHost { stack, service }
+    }
+
+    /// The controller warp kernels hold an `Arc` to.
+    pub fn ctrl(&self) -> Arc<AgileCtrl> {
+        Arc::clone(&self.stack.ctrl)
+    }
+
+    /// The installed metrics registry, if any.
+    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
+        self.stack.metrics.as_ref()
+    }
+
+    /// The live controller, when the host was built with a control plane.
+    pub fn controller(&self) -> Option<&Arc<Controller>> {
+        self.stack.controller.as_ref()
+    }
+
+    /// The AGILE service set.
+    pub fn service_set(&self) -> &ServiceSet {
+        &self.service
+    }
+
+    /// The first service partition — the whole service when
+    /// `service_shards == 1`.
+    pub fn service(&self) -> Arc<ServicePartition> {
+        Arc::clone(&self.service.partitions()[0])
+    }
+
+    /// The shared storage topology (for workload setup and statistics).
+    pub fn topology(&self) -> Arc<ShardedArray> {
+        Arc::clone(&self.stack.topology)
+    }
+
+    /// The page backing of device `dev` (for pre-populating datasets).
+    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
+        self.stack.topology.backing(dev)
+    }
+
+    /// `queryOccupancy`: maximum resident blocks per SM for a launch.
+    pub fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
+        occupancy(self.stack.engine.gpu(), launch)
     }
 
     /// Access the engine (advanced use: launching extra kernels directly).
     pub fn engine_mut(&mut self) -> &mut Engine {
-        self.engine.as_mut().expect("start_agile not called")
+        &mut self.stack.engine
     }
 
     /// Launch a user kernel and run the co-simulation until it (and any other
@@ -614,35 +496,18 @@ impl AgileHost {
         launch: LaunchConfig,
         factory: Box<dyn KernelFactory>,
     ) -> ExecutionReport {
-        let engine = self.engine.as_mut().expect("start_agile not called");
-        engine.launch(launch, factory);
-        engine.run()
+        self.stack.engine.launch(launch, factory);
+        self.stack.engine.run()
     }
 
-    /// Ask the service kernel to stop — `stopAgile()`.
+    /// Ask the service kernels to stop — `stopAgile()`.
     pub fn stop_agile(&mut self) {
-        if let Some(ctrl) = &self.ctrl {
-            ctrl.request_service_stop();
-        }
+        self.stack.ctrl.request_service_stop();
     }
 
-    /// Tear down the NVMe state — `closeNvme()`. (The simulated equivalents
-    /// of unbinding the driver: the queues and devices are dropped.)
-    pub fn close_nvme(&mut self) {
-        self.stop_agile();
-        self.engine = None;
-        self.service = None;
-        self.ctrl = None;
-        self.topology = None;
-        self.service_started = false;
-    }
-
-    /// Current simulated time of the engine (zero before `start_agile`).
+    /// Current simulated time of the engine.
     pub fn now(&self) -> Cycles {
-        self.engine
-            .as_ref()
-            .map(|e| e.now())
-            .unwrap_or(Cycles::ZERO)
+        self.stack.engine.now()
     }
 }
 
@@ -652,13 +517,7 @@ impl GpuStorageHost for AgileHost {
     fn ctrl(&self) -> Arc<AgileCtrl> {
         AgileHost::ctrl(self)
     }
-    fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
-        AgileHost::set_trace_sink(self, sink)
-    }
-    fn set_qos_policy(&self, policy: Arc<dyn QosPolicy>) -> bool {
-        AgileHost::set_qos_policy(self, policy)
-    }
-    fn topology(&self) -> Arc<dyn StorageTopology> {
+    fn topology(&self) -> Arc<ShardedArray> {
         AgileHost::topology(self)
     }
     fn query_occupancy(&self, launch: &LaunchConfig) -> u32 {
@@ -684,14 +543,28 @@ mod tests {
     use super::*;
     use crate::kernels::PrefetchComputeKernel;
 
+    fn spec(gpu: GpuConfig, devices: usize, pages: u64) -> HostSpec {
+        HostSpec {
+            gpu,
+            devices: vec![
+                DeviceSpec {
+                    pages,
+                    backing: None
+                };
+                devices
+            ],
+            ..HostSpec::default()
+        }
+    }
+
     #[test]
-    fn full_listing1_flow_runs_a_kernel() {
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
+    fn built_host_runs_a_kernel() {
+        let mut host = AgileHost::build(
+            spec(GpuConfig::tiny(4), 2, 1 << 16),
+            AgileConfig::small_test(),
+        );
         assert_eq!(host.ctrl().device_count(), 2);
-        host.start_agile();
+        assert_eq!(host.topology().shard_count(), 1);
         let ctrl = host.ctrl();
         let launch = LaunchConfig::new(2, 64).with_registers(32);
         assert!(host.query_occupancy(&launch) >= 1);
@@ -706,18 +579,18 @@ mod tests {
         assert!(ctrl.stats().cache_misses > 0);
         assert!(host.topology().total_bytes_read() > 0);
         host.stop_agile();
-        host.close_nvme();
     }
 
     #[test]
     fn sharded_host_runs_the_same_kernel() {
-        let mut host = AgileHost::new(GpuConfig::tiny(4), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.add_nvme_dev(1 << 16);
-        host.set_shards(2);
-        host.init_nvme();
+        let mut host = AgileHost::build(
+            HostSpec {
+                shards: 2,
+                ..spec(GpuConfig::tiny(4), 2, 1 << 16)
+            },
+            AgileConfig::small_test(),
+        );
         assert_eq!(host.topology().shard_count(), 2);
-        host.start_agile();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(32),
@@ -729,13 +602,10 @@ mod tests {
 
     #[test]
     fn auto_sized_service_still_completes_fills() {
-        let mut host = AgileHost::new(
-            GpuConfig::tiny(4),
+        let mut host = AgileHost::build(
+            spec(GpuConfig::tiny(4), 1, 1 << 16),
             AgileConfig::small_test().with_auto_service_warps(),
         );
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(32),
@@ -749,35 +619,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before init_nvme")]
-    fn adding_devices_after_init_panics() {
-        let mut host = AgileHost::new(GpuConfig::tiny(1), AgileConfig::small_test());
-        host.add_nvme_dev(1024);
-        host.init_nvme();
-        host.add_nvme_dev(1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "before init_nvme")]
-    fn sharding_after_init_panics() {
-        let mut host = AgileHost::new(GpuConfig::tiny(1), AgileConfig::small_test());
-        host.add_nvme_dev(1024);
-        host.init_nvme();
-        host.set_shards(4);
-    }
-
-    #[test]
     #[should_panic(expected = "queue depth")]
     fn rejects_non_power_of_two_queue_depth() {
-        let _ = AgileHost::new(
-            GpuConfig::tiny(1),
+        let _ = AgileHost::build(
+            spec(GpuConfig::tiny(1), 1, 1024),
             AgileConfig::small_test().with_queue_depth(48),
         );
     }
 
     #[test]
+    #[should_panic(expected = "at least one device")]
+    fn rejects_a_spec_without_devices() {
+        let _ = AgileHost::build(HostSpec::default(), AgileConfig::small_test());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one lock shard")]
+    fn rejects_zero_lock_shards() {
+        let _ = AgileHost::build(
+            HostSpec {
+                shards: 0,
+                ..spec(GpuConfig::tiny(1), 1, 1024)
+            },
+            AgileConfig::small_test(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one partition")]
+    fn rejects_zero_service_shards() {
+        let _ = AgileHost::build(
+            HostSpec {
+                service_shards: 0,
+                ..spec(GpuConfig::tiny(1), 1, 1024)
+            },
+            AgileConfig::small_test(),
+        );
+    }
+
+    #[test]
     fn occupancy_query_matches_gpu_sim() {
-        let host = AgileHost::new(GpuConfig::rtx_5000_ada(), AgileConfig::small_test());
+        let host = AgileHost::build(
+            spec(GpuConfig::rtx_5000_ada(), 1, 1024),
+            AgileConfig::small_test(),
+        );
         let launch = LaunchConfig::new(1, 1024).with_registers(32);
         assert_eq!(host.query_occupancy(&launch), 1);
     }

@@ -271,15 +271,24 @@ impl KernelFactory for AsyncReadModifyWriteKernel {
 mod tests {
     use super::*;
     use crate::config::AgileConfig;
-    use crate::host::AgileHost;
+    use crate::host::{AgileHost, DeviceSpec, HostSpec};
     use gpu_sim::{GpuConfig, LaunchConfig};
+
+    fn one_ssd_host() -> AgileHost {
+        let spec = HostSpec {
+            gpu: GpuConfig::tiny(2),
+            devices: vec![DeviceSpec {
+                pages: 1 << 16,
+                backing: None,
+            }],
+            ..HostSpec::default()
+        };
+        AgileHost::build(spec, AgileConfig::small_test())
+    }
 
     #[test]
     fn pipeline_kernel_completes_and_moves_data() {
-        let mut host = AgileHost::new(GpuConfig::tiny(2), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
+        let mut host = one_ssd_host();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(2, 64).with_registers(40),
@@ -297,10 +306,7 @@ mod tests {
 
     #[test]
     fn rmw_kernel_round_trips_user_buffers() {
-        let mut host = AgileHost::new(GpuConfig::tiny(2), AgileConfig::small_test());
-        host.add_nvme_dev(1 << 16);
-        host.init_nvme();
-        host.start_agile();
+        let mut host = one_ssd_host();
         let ctrl = host.ctrl();
         let report = host.run_kernel(
             LaunchConfig::new(1, 64).with_registers(40),

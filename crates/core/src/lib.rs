@@ -29,24 +29,26 @@
 //!   [`qos::WeightedFair`], [`qos::StrictPriority`]) that arbitrates SQ-slot
 //!   admission ahead of the Algorithm 2 critical section;
 //! * [`host`] — [`host::AgileHost`], the host-side setup/run/teardown flow of
-//!   Listing 1, plus the bridge that co-simulates the SSD array with the GPU
-//!   engine.
+//!   Listing 1: one plain-data [`host::HostSpec`] consumed by one
+//!   constructor, plus the bridge that co-simulates the SSD array with the
+//!   GPU engine.
 //!
 //! ## Example
 //!
 //! ```
-//! use agile_core::host::AgileHost;
+//! use agile_core::host::{AgileHost, DeviceSpec, HostSpec};
 //! use agile_core::config::AgileConfig;
 //! use agile_core::kernels::PrefetchComputeKernel;
 //! use gpu_sim::{GpuConfig, LaunchConfig};
 //!
 //! // Two small SSDs, a 4 MiB cache, 4 queue pairs of depth 64 per SSD.
-//! let config = AgileConfig::small_test();
-//! let mut host = AgileHost::new(GpuConfig::tiny(4), config);
-//! host.add_nvme_dev(1 << 16); // pages
-//! host.add_nvme_dev(1 << 16);
-//! host.init_nvme();
-//! host.start_agile();
+//! let ssd = DeviceSpec { pages: 1 << 16, backing: None };
+//! let spec = HostSpec {
+//!     gpu: GpuConfig::tiny(4),
+//!     devices: vec![ssd.clone(), ssd],
+//!     ..HostSpec::default()
+//! };
+//! let mut host = AgileHost::build(spec, AgileConfig::small_test());
 //! let ctrl = host.ctrl();
 //! let report = host.run_kernel(
 //!     LaunchConfig::new(2, 64).with_registers(32),
@@ -75,7 +77,7 @@ pub mod transaction;
 pub use config::AgileConfig;
 pub use control::{knob_set, CacheShares, QosWeights};
 pub use ctrl::{AgileCtrl, ApiStats, CtrlMetrics, IssueOutcome, ReadOutcome};
-pub use host::{AgileHost, GpuStorageHost, ShardSsdBridge, SsdBridge};
+pub use host::{AgileHost, DeviceSpec, GpuStorageHost, HostCtrl, HostSpec};
 pub use lockchain::{AgileLockChain, DeadlockReport, LockRegistry};
 pub use qos::{
     Fifo, QosDecision, QosPolicy, QosTenantStats, StrictPriority, WeightError, WeightedFair,

@@ -27,7 +27,7 @@
 //! fine at 1–3 SSDs, the compute-side scalability ceiling at production
 //! device counts. [`ServiceSet`] splits the CQ space into N
 //! [`ServicePartition`]s along the storage topology's lock shards
-//! ([`nvme_sim::StorageTopology::shard_of`]): one persistent kernel per
+//! ([`nvme_sim::ShardedArray::shard_of`]): one persistent kernel per
 //! partition, each sweeping only its own shard's `(device, queue-pair)`
 //! targets, so completion processing scales with the storage side instead of
 //! funnelling through one kernel's rotation. With one shard (the default)
@@ -38,7 +38,7 @@ use crate::sq_protocol::AgileSq;
 use crate::transaction::Transaction;
 use agile_sim::Cycles;
 use gpu_sim::{KernelFactory, WarpCtx, WarpKernel, WarpStep};
-use nvme_sim::StorageTopology;
+use nvme_sim::ShardedArray;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,13 +50,13 @@ use std::sync::Arc;
 /// `d` belongs to service partition `shard_of(d) % shards`, so every service
 /// keeps polling CQs whose submissions contend on the same storage shard —
 /// the compute-side mirror of the lock partitioning. With fewer storage
-/// shards than services (including the single-shard [`nvme_sim::FlatArray`])
+/// shards than services (including the default single-shard array)
 /// the grouping falls back to round-robin by device index, so no partition
 /// is left without work. Targets within a partition keep the global
 /// `(device asc, queue asc)` order; `shards == 1` therefore reproduces the
 /// historical single-service target list exactly.
 pub fn partition_targets(
-    topology: Option<&Arc<dyn StorageTopology>>,
+    topology: Option<&Arc<ShardedArray>>,
     queues_per_device: &[usize],
     shards: usize,
 ) -> Vec<Vec<(usize, usize)>> {
@@ -416,7 +416,7 @@ impl KernelFactory for AgileServiceKernel {
 
 /// The scale-out service: N shard-affine [`ServicePartition`]s over one
 /// controller, one persistent kernel each (launched by
-/// `AgileHost::start_agile`). `shards == 1` is exactly the paper's single
+/// `AgileHost::build`). `shards == 1` is exactly the paper's single
 /// service — same target order, same kernel geometry, bit-identical
 /// behaviour (asserted by the golden-trace suite).
 pub struct ServiceSet {
@@ -662,8 +662,7 @@ mod tests {
         // 8 devices × 4 QPs split across 4 shard-affine partitions: each
         // partition owns 8 CQs ⇒ 1 warp; the single-service fallback owns
         // all 32 ⇒ 4 warps.
-        use nvme_sim::ShardedArray;
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(ShardedArray::new(8, 4));
+        let topo = Arc::new(ShardedArray::new(8, 4));
         let parts = partition_targets(Some(&topo), &[4; 8], 4);
         for targets in &parts {
             assert_eq!(auto_service_warps(targets.len()), 1);
@@ -685,8 +684,7 @@ mod tests {
 
     #[test]
     fn partition_targets_follow_storage_shards() {
-        use nvme_sim::ShardedArray;
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(ShardedArray::new(8, 4));
+        let topo = Arc::new(ShardedArray::new(8, 4));
         let parts = partition_targets(Some(&topo), &[2; 8], 4);
         assert_eq!(parts.len(), 4);
         for (service, targets) in parts.iter().enumerate() {
@@ -702,11 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_targets_fall_back_to_round_robin_on_flat_topology() {
-        use nvme_sim::FlatArray;
+    fn partition_targets_fall_back_to_round_robin_on_one_shard() {
         // One storage shard, four services: shard-affinity would starve
         // three of them, so grouping falls back to device round-robin.
-        let topo: Arc<dyn nvme_sim::StorageTopology> = Arc::new(FlatArray::new(8));
+        let topo = Arc::new(ShardedArray::new(8, 1));
         let parts = partition_targets(Some(&topo), &[1; 8], 4);
         for (service, targets) in parts.iter().enumerate() {
             assert_eq!(targets.len(), 2, "service {service} must own work");

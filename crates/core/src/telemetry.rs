@@ -22,7 +22,7 @@ use agile_cache::{CacheStats, TenantCacheStats};
 use agile_metrics::{Collector, Labels, MetricValue, Sample, WindowedSampler};
 use agile_sim::Cycles;
 use gpu_sim::ExternalDevice;
-use nvme_sim::StorageTopology;
+use nvme_sim::ShardedArray;
 use std::sync::Arc;
 
 fn counter(out: &mut Vec<Sample>, name: &str, labels: Labels, v: u64) {
@@ -158,12 +158,12 @@ impl Collector for CacheCollector {
 /// (`agile_submit_lock_*` per shard) and per-device completion statistics
 /// (`agile_device_*`).
 pub struct TopologyCollector {
-    topology: Arc<dyn StorageTopology>,
+    topology: Arc<ShardedArray>,
 }
 
 impl TopologyCollector {
     /// A collector over `topology`.
-    pub fn new(topology: Arc<dyn StorageTopology>) -> Self {
+    pub fn new(topology: Arc<ShardedArray>) -> Self {
         TopologyCollector { topology }
     }
 }

@@ -531,10 +531,10 @@ impl Drop for ExitGuard<'_> {
 
 /// The worker side of the barrier: execute each published command on this
 /// worker's fixed bucket of shard devices, hand the bucket back on exit.
-fn worker_loop<'a>(
+fn worker_loop(
     slot: usize,
     mut bucket: Vec<(usize, Box<dyn ExternalDevice>)>,
-    shared: &'a ParShared,
+    shared: &ParShared,
 ) -> Vec<(usize, Box<dyn ExternalDevice>)> {
     let cell = &shared.cells[slot];
     let mut seen = 0u64;
@@ -557,7 +557,8 @@ fn worker_loop<'a>(
                 for (_, dev) in bucket.iter_mut() {
                     dev.advance_to(now);
                 }
-                cell.advances.fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                cell.advances
+                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
                 cell.done.store(seq, Ordering::Release);
             }
             CMD_NEXT => {
@@ -719,7 +720,10 @@ impl Engine {
     /// totals are unaffected because [`Engine::run`] always flushes the final
     /// partial interval before reporting.
     pub fn set_metrics_flush_interval(&mut self, rounds: u64) {
-        assert!(rounds > 0, "metrics flush interval must be at least 1 round");
+        assert!(
+            rounds > 0,
+            "metrics flush interval must be at least 1 round"
+        );
         self.metrics_flush_interval = rounds;
     }
 
@@ -1775,9 +1779,12 @@ mod tests {
             let flag = Arc::new(AtomicU64::new(0));
             let mut eng = Engine::new(GpuConfig::tiny(2));
             eng.set_scheduler(sched);
-            for (start, period, fires) in
-                [(100, 313, 60), (150, 401, 50), (60, 257, 70), (220, 199, 90)]
-            {
+            for (start, period, fires) in [
+                (100, 313, 60),
+                (150, 401, 50),
+                (60, 257, 70),
+                (220, 199, 90),
+            ] {
                 eng.add_shard_device(Box::new(Ticker::new(
                     Arc::clone(&flag),
                     start,
@@ -1961,11 +1968,22 @@ mod tests {
         assert_eq!(snap.gauge("agile_engine_thread_count", Labels::NONE), 2);
         assert!(snap.counter("agile_engine_epoch_advances_total", Labels::NONE) >= report.rounds);
         let advances: u64 = (0..2)
-            .map(|t| snap.counter("agile_engine_thread_device_advances_total", Labels::partition(t)))
+            .map(|t| {
+                snap.counter(
+                    "agile_engine_thread_device_advances_total",
+                    Labels::partition(t),
+                )
+            })
             .sum();
         assert!(advances > 0, "workers must report their device advances");
-        assert_eq!(snap.gauge("agile_engine_thread_devices", Labels::partition(0)), 2);
-        assert_eq!(snap.gauge("agile_engine_thread_devices", Labels::partition(1)), 2);
+        assert_eq!(
+            snap.gauge("agile_engine_thread_devices", Labels::partition(0)),
+            2
+        );
+        assert_eq!(
+            snap.gauge("agile_engine_thread_devices", Labels::partition(1)),
+            2
+        );
     }
 
     #[test]
@@ -2007,7 +2025,12 @@ mod tests {
                 eng.set_barrier_spin_limit(limit);
             }
             for (start, period, fires) in [(100, 313, 40), (150, 401, 30), (60, 257, 50)] {
-                eng.add_shard_device(Box::new(Ticker::new(Arc::clone(&flag), start, period, fires)));
+                eng.add_shard_device(Box::new(Ticker::new(
+                    Arc::clone(&flag),
+                    start,
+                    period,
+                    fires,
+                )));
             }
             eng.launch(
                 LaunchConfig::new(2, 64).with_registers(16),

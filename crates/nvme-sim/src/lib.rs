@@ -15,9 +15,9 @@
 //!   materialising 4 KiB buffers, while an optional byte-level backing
 //!   ([`backing::MemBacking`]) provides full-fidelity payloads for small
 //!   correctness tests ([`backing`]), and
-//! * the multi-SSD storage topologies ([`topology`]): a [`StorageTopology`]
-//!   trait with a single-lock [`FlatArray`] and a lock-partitioned
-//!   [`ShardedArray`], both sharing one page-striping layer.
+//! * the multi-SSD storage topology ([`topology`]): a [`ShardedArray`] whose
+//!   devices are partitioned into lock shards (one by default, the paper's
+//!   single-lock array) behind one page-striping layer.
 //!
 //! The GPU-side libraries (`agile-core`, `bam-baseline`) share the queue rings
 //! with the device through `Arc`s, exactly as the real system shares them
@@ -40,6 +40,4 @@ pub use queue::{CompletionQueue, QueuePair, SubmissionQueue};
 pub use spec::{
     CmdStatus, CommandId, DmaHandle, Lba, NvmeCommand, NvmeCompletion, Opcode, PageToken, QueueId,
 };
-pub use topology::{
-    DeviceSet, FlatArray, PageLocation, Placement, ShardedArray, StorageTopology, TopologyLock,
-};
+pub use topology::{DeviceSet, PageLocation, Placement, ShardedArray, TopologyLock};

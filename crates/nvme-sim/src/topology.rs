@@ -1,37 +1,30 @@
-//! Multi-SSD storage topologies.
+//! The multi-SSD storage topology.
 //!
 //! The paper's scaling experiments (Figures 5 and 6) attach up to three SSDs
 //! to the host and stripe requests across them in an interleaved fashion
 //! ("requests 0, 2, 4, … are issued to SSD1, while requests 1, 3, 5, … are
-//! directed to SSD2"). This module generalises that design into a
-//! [`StorageTopology`] trait with two implementations:
+//! directed to SSD2"). [`ShardedArray`] generalises that design: the devices
+//! are partitioned into N lock shards, each with its **own** modeled lock,
+//! so submissions to different shards no longer serialise against each
+//! other. One shard — the hosts' default — is the paper's single-lock array,
+//! where every submission serialises on the same lock (the scale-out
+//! blocker at production device counts).
 //!
-//! * [`FlatArray`] — every device behind **one** lock, the original
-//!   `SsdArray` behaviour. Cheap to build, but every submission serialises
-//!   on the same lock, which is the scale-out blocker at production device
-//!   counts.
-//! * [`ShardedArray`] — the devices are partitioned into N shards, each with
-//!   its **own** device set and lock. Submissions to different shards no
-//!   longer serialise against each other; a sharded array with one shard is
-//!   bit-identical to the flat array.
-//!
-//! Both expose the same **page-striping layer**: a global page index maps to
-//! `(shard, device, device-local page)` via [`StorageTopology::map_page`],
-//! so workloads address one linear page space regardless of topology. The
-//! device/page mapping is identical for both topologies at equal device
-//! count — only the lock partitioning differs — which is exactly what makes
-//! flat-vs-sharded benchmark comparisons attribute their delta to the lock.
+//! The **page-striping layer** maps a global page index to
+//! `(shard, device, device-local page)` via [`ShardedArray::map_page`], so
+//! workloads address one linear page space at any shard count. The
+//! device/page mapping depends only on the device count — only the lock
+//! partitioning differs — which is exactly what makes one-shard-vs-N-shard
+//! benchmark comparisons attribute their delta to the lock.
 //!
 //! The lock itself is *modeled*: real GPU-side array implementations guard
 //! SQ-slot allocation and the doorbell update with a critical section, so
-//! [`StorageTopology::lock_acquire`] charges each submission the FIFO wait
+//! [`ShardedArray::lock_acquire`] charges each submission the FIFO wait
 //! behind earlier holders plus its own hold time (see [`TopologyLock`]).
 //! The simulation stays single-threaded and deterministic; the contention
 //! shows up as cycles charged to the issuing warp.
 //!
-//! [`DeviceSet`] is the lock-free building block both topologies are made
-//! of (every call-site of the old `SsdArray` name has migrated to the
-//! [`StorageTopology`] implementations).
+//! [`DeviceSet`] is the lock-free building block the array is made of.
 
 use crate::backing::{MemBacking, PageBacking};
 use crate::device::{DeviceStats, SsdConfig, SsdDevice};
@@ -43,7 +36,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// A set of SSDs addressed by device index, each behind its **own** mutex —
-/// the building block both [`StorageTopology`] implementations are made of.
+/// the building block [`ShardedArray`] is made of.
 ///
 /// Per-device locking is what makes device-affine engine partitioning pay:
 /// two workers advancing different devices of the *same* lock shard never
@@ -133,13 +126,6 @@ impl DeviceSet {
         self.devices[idx].lock().set_trace_sink(Arc::clone(sink))
     }
 
-    /// Advance every device to `now`, in device order.
-    pub fn advance_to(&self, now: Cycles) {
-        for dev in &self.devices {
-            dev.lock().advance_to(now);
-        }
-    }
-
     /// Advance only device `idx` to `now`. Devices are mutually independent
     /// between advancement boundaries, so callers may advance different
     /// devices concurrently.
@@ -168,32 +154,6 @@ impl DeviceSet {
     /// True when device `idx` is idle.
     pub fn device_quiescent(&self, idx: usize) -> bool {
         self.devices[idx].lock().quiescent()
-    }
-
-    /// Round-robin device partitioning for `workers` engine workers:
-    /// position `i` of `order` lands in partition `i % workers` — the
-    /// device-affine buckets the threaded engine pins to its worker threads
-    /// (`order` is normally [`StorageTopology::device_advance_order`]).
-    /// Partitions scale with fleet size, not lock-shard count: a one-shard
-    /// topology still spreads its devices across every worker.
-    pub fn partition_devices(&self, workers: usize, order: &[usize]) -> Vec<Vec<usize>> {
-        let workers = workers.max(1);
-        let mut parts: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, &dev) in order.iter().enumerate() {
-            debug_assert!(dev < self.devices.len());
-            parts[i % workers].push(dev);
-        }
-        parts
-    }
-
-    /// Interleaved placement used by the scaling experiments: request `i`
-    /// goes to device `i % n` at the same LBA it would use on a single
-    /// device divided by the stripe width.
-    pub fn interleave(&self, request_idx: u64, lba_space: u64) -> (usize, Lba) {
-        let n = self.devices.len() as u64;
-        let dev = (request_idx % n) as usize;
-        let lba = (request_idx / n) % lba_space.max(1);
-        (dev, lba)
     }
 
     /// Sum of bytes read across devices.
@@ -239,9 +199,8 @@ pub struct PageLocation {
     pub page: Lba,
 }
 
-/// How the striping layer places global pages onto devices. Both topologies
-/// share one placement seed; every variant is **bijective** over
-/// `devices × pages_per_device` (property-tested in
+/// How the striping layer places global pages onto devices. Every variant
+/// is **bijective** over `devices × pages_per_device` (property-tested in
 /// `tests/topology_striping.rs`), so changing the placement re-lays data out
 /// without losing or aliasing any page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -267,7 +226,7 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Striping shared by both topologies under the given placement seed.
+/// Striping under the given placement seed, independent of the shard count.
 /// Bijective by construction: `Interleave` is the classic division pair;
 /// `Hash` permutes the device index within each page row (a rotation by a
 /// hash of the row), which preserves bijectivity row by row.
@@ -317,8 +276,8 @@ struct ShardLockState {
 /// (`busy_until - now`, if positive), then holds the lock for `hold` cycles;
 /// the total is returned as cycles to charge the issuing warp. One state
 /// cell per shard, so acquisitions in different shards never wait on each
-/// other — this is the entire modeled difference between [`FlatArray`]
-/// (one shard) and [`ShardedArray`] (N shards).
+/// other — this is the entire modeled difference between a one-shard and
+/// an N-shard [`ShardedArray`].
 pub struct TopologyLock {
     shards: Vec<Mutex<ShardLockState>>,
     hold: u64,
@@ -370,323 +329,24 @@ impl TopologyLock {
 }
 
 // ---------------------------------------------------------------------------
-// The topology trait
-// ---------------------------------------------------------------------------
-
-/// A multi-SSD storage topology: owns the devices, their lock partitioning
-/// and the page-striping layer. All methods take `&self`; implementations
-/// lock internally so hosts can share the topology as `Arc<dyn
-/// StorageTopology>` between the co-simulation bridge, the controller and
-/// workload setup code.
-pub trait StorageTopology: Send + Sync {
-    /// Total devices across all shards.
-    fn device_count(&self) -> usize;
-
-    /// Number of lock shards.
-    fn shard_count(&self) -> usize;
-
-    /// Lock shard that owns global device `dev`.
-    fn shard_of(&self, dev: usize) -> usize;
-
-    /// Register `per_device` queue pairs of `depth` entries on every device;
-    /// returned grouped by global device index.
-    fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>>;
-
-    /// The page backing of global device `dev` (for dataset setup).
-    fn backing(&self, dev: usize) -> Arc<dyn PageBacking>;
-
-    /// Install a trace sink on every device's completion path. Returns
-    /// `false` if any device already had one.
-    fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool;
-
-    /// Advance every device to `now` (co-simulation).
-    fn advance_to(&self, now: Cycles);
-
-    /// Earliest pending event across all devices.
-    fn next_event_time(&self) -> Option<Cycles>;
-
-    /// True when every device is idle.
-    fn quiescent(&self) -> bool;
-
-    /// Advance only lock shard `shard`'s devices to `now`. Shards are
-    /// mutually independent between advancement boundaries, so the engine
-    /// may call this concurrently for different shards; calling it for
-    /// shards `0..shard_count()` in order is exactly [`Self::advance_to`].
-    fn advance_shard_to(&self, shard: usize, now: Cycles);
-
-    /// Earliest pending event among shard `shard`'s devices.
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles>;
-
-    /// True when every device of shard `shard` is idle.
-    fn shard_quiescent(&self, shard: usize) -> bool;
-
-    /// Install a trace sink on shard `shard`'s device completion paths only
-    /// (per-shard buffering sinks predate the per-device seams below and are
-    /// kept for compatibility). Returns `false` if any of the shard's
-    /// devices already had one.
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool;
-
-    /// Advance only global device `dev` to `now`. Devices are mutually
-    /// independent between advancement boundaries, so the engine may call
-    /// this concurrently for different devices; calling it for
-    /// [`Self::device_advance_order`] in order is exactly
-    /// [`Self::advance_to`]. The default delegates to the owning shard —
-    /// behaviourally correct (advancing a shard twice to one `now` is
-    /// idempotent) but serialising; both in-repo topologies override with
-    /// true per-device seams.
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
-        self.advance_shard_to(self.shard_of(dev), now);
-    }
-
-    /// Earliest pending event on global device `dev` (default: the owning
-    /// shard's — conservative but correct for horizon computation).
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
-        self.shard_next_event_time(self.shard_of(dev))
-    }
-
-    /// True when global device `dev` is idle (default: the owning shard).
-    fn device_quiescent(&self, dev: usize) -> bool {
-        self.shard_quiescent(self.shard_of(dev))
-    }
-
-    /// Install a trace sink on one device's completion path only (the
-    /// threaded engine gives each device its own buffering sink). Returns
-    /// `false` if the device already had one. The default falls back to the
-    /// owning shard and is only correct for one-device-per-shard topologies;
-    /// both in-repo topologies override.
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set_shard_trace_sink(self.shard_of(dev), sink)
-    }
-
-    /// Global device indices in sequential advance order: shard 0's devices
-    /// in increasing global order, then shard 1's, … — exactly the order
-    /// [`Self::advance_to`] visits devices. Per-device engine bridges
-    /// registered in this order reproduce the sequential event stream byte
-    /// for byte, which is what keeps the golden traces green at any worker
-    /// count.
-    fn device_advance_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.device_count());
-        for s in 0..self.shard_count() {
-            for d in 0..self.device_count() {
-                if self.shard_of(d) == s {
-                    order.push(d);
-                }
-            }
-        }
-        order
-    }
-
-    /// Sum of bytes read across devices.
-    fn total_bytes_read(&self) -> u64;
-
-    /// Sum of bytes written across devices.
-    fn total_bytes_written(&self) -> u64;
-
-    /// Statistics snapshot of global device `dev`.
-    fn device_stats(&self, dev: usize) -> DeviceStats;
-
-    /// Extent of the striped global page space
-    /// (`device_count × min(namespace_pages)`).
-    fn global_pages(&self) -> u64;
-
-    /// Map a global page index to `(shard, device, local page)`. The
-    /// device/page mapping depends only on the device count, so topologies
-    /// with equal device counts lay data out identically.
-    fn map_page(&self, global: u64) -> PageLocation;
-
-    /// Charge one submission's pass through the array lock guarding device
-    /// `dev`: FIFO wait behind earlier holders plus the hold itself.
-    fn lock_acquire(&self, dev: usize, warp: u64, now: Cycles) -> Cycles;
-
-    /// Accumulated FIFO queue-wait cycles per lock shard, in shard order
-    /// (`agile_submit_lock_wait_cycles_total{shard}`).
-    fn lock_wait_by_shard(&self) -> Vec<u64> {
-        vec![0; self.shard_count()]
-    }
-
-    /// Total queue-wait cycles across all lock shards.
-    fn lock_wait_cycles(&self) -> u64 {
-        self.lock_wait_by_shard().iter().sum()
-    }
-
-    /// Total lock acquisitions per shard, in shard order.
-    fn lock_acquires_by_shard(&self) -> Vec<u64> {
-        vec![0; self.shard_count()]
-    }
-
-    /// Commands currently in flight on global device `dev` (scheduled
-    /// completions plus completions parked on a full CQ) — the per-device
-    /// queue-depth gauge.
-    fn device_inflight(&self, _dev: usize) -> u64 {
-        0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FlatArray
-// ---------------------------------------------------------------------------
-
-/// Every device behind one *modeled* lock — the original `SsdArray`
-/// behaviour. The devices themselves sit behind per-device mutexes (see
-/// [`DeviceSet`]), so even a one-shard array fans out across the threaded
-/// engine's workers.
-pub struct FlatArray {
-    set: DeviceSet,
-    lock: TopologyLock,
-    /// Cached: the device count is fixed at construction, and `map_page`
-    /// sits on the per-op replay hot path.
-    devices: usize,
-    global_pages: u64,
-    placement: Placement,
-}
-
-impl FlatArray {
-    /// Build `count` devices with default configuration and backings.
-    pub fn new(count: usize) -> Self {
-        FlatArray::from_set(DeviceSet::new(count))
-    }
-
-    /// Build from explicit (config, backing) pairs.
-    pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>) -> Self {
-        FlatArray::from_set(DeviceSet::from_parts(parts))
-    }
-
-    /// Wrap an already-built device set.
-    pub fn from_set(set: DeviceSet) -> Self {
-        let global_pages = set.len() as u64 * set.min_namespace_pages();
-        FlatArray {
-            devices: set.len(),
-            set,
-            lock: TopologyLock::new(1, DEFAULT_LOCK_HOLD_CYCLES),
-            global_pages,
-            placement: Placement::default(),
-        }
-    }
-
-    /// Run `f` with the underlying device set (tests, direct access).
-    pub fn with_set<R>(&self, f: impl FnOnce(&DeviceSet) -> R) -> R {
-        f(&self.set)
-    }
-
-    /// Override the modeled lock-hold cycles (cost-model studies).
-    pub fn with_lock_hold(mut self, hold: u64) -> Self {
-        self.lock = TopologyLock::new(1, hold);
-        self
-    }
-
-    /// Select the striping layer's placement seed (default:
-    /// [`Placement::Interleave`], the golden-guarded paper layout).
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-}
-
-impl StorageTopology for FlatArray {
-    fn device_count(&self) -> usize {
-        self.devices
-    }
-    fn shard_count(&self) -> usize {
-        1
-    }
-    fn shard_of(&self, _dev: usize) -> usize {
-        0
-    }
-    fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>> {
-        self.set.register_queues(per_device, depth)
-    }
-    fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
-        Arc::clone(self.set.device(dev).backing())
-    }
-    fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_trace_sink(sink)
-    }
-    fn advance_to(&self, now: Cycles) {
-        self.set.advance_to(now);
-    }
-    fn next_event_time(&self) -> Option<Cycles> {
-        self.set.next_event_time()
-    }
-    fn quiescent(&self) -> bool {
-        self.set.quiescent()
-    }
-    fn advance_shard_to(&self, shard: usize, now: Cycles) {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.advance_to(now);
-    }
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles> {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.next_event_time()
-    }
-    fn shard_quiescent(&self, shard: usize) -> bool {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.quiescent()
-    }
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        debug_assert_eq!(shard, 0, "FlatArray has exactly one shard");
-        self.set.set_trace_sink(sink)
-    }
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
-        self.set.advance_device_to(dev, now);
-    }
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
-        self.set.device_next_event_time(dev)
-    }
-    fn device_quiescent(&self, dev: usize) -> bool {
-        self.set.device_quiescent(dev)
-    }
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_device_trace_sink(dev, sink)
-    }
-    fn total_bytes_read(&self) -> u64 {
-        self.set.total_bytes_read()
-    }
-    fn total_bytes_written(&self) -> u64 {
-        self.set.total_bytes_written()
-    }
-    fn device_stats(&self, dev: usize) -> DeviceStats {
-        self.set.device(dev).stats().clone()
-    }
-    fn global_pages(&self) -> u64 {
-        self.global_pages
-    }
-    fn map_page(&self, global: u64) -> PageLocation {
-        let (device, page) = stripe(global, self.devices as u64, self.placement);
-        PageLocation {
-            shard: 0,
-            device,
-            page,
-        }
-    }
-    fn lock_acquire(&self, _dev: usize, warp: u64, now: Cycles) -> Cycles {
-        self.lock.acquire(0, warp, now)
-    }
-    fn lock_wait_by_shard(&self) -> Vec<u64> {
-        self.lock.wait_by_shard()
-    }
-    fn lock_acquires_by_shard(&self) -> Vec<u64> {
-        self.lock.acquires_by_shard()
-    }
-    fn device_inflight(&self, dev: usize) -> u64 {
-        self.set.device(dev).inflight()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // ShardedArray
 // ---------------------------------------------------------------------------
 
-/// Devices partitioned into N lock shards over one per-device-locked
-/// [`DeviceSet`].
+/// The multi-SSD storage topology: owns the devices, their lock
+/// partitioning and the page-striping layer.
 ///
-/// Device `d` belongs to shard `d % shards`; the striped data layout is
-/// identical to [`FlatArray`] at equal device count, so any benchmark delta
-/// between the two is attributable to the lock partitioning alone. With
-/// `shards == 1` this *is* the flat array, bit for bit. Shard membership is
+/// Device `d` belongs to lock shard `d % shards`; the striped data layout
+/// depends only on the device count, so any benchmark delta between shard
+/// counts is attributable to the lock partitioning alone. One shard (the
+/// hosts' default) is the paper's single-lock array. Shard membership is
 /// pure arithmetic — the devices live in one global-order [`DeviceSet`], and
-/// shard-level advancement visits them in **shard-major** order (shard 0's
+/// whole-array advancement visits them in **shard-major** order (shard 0's
 /// devices in increasing global order, then shard 1's, …), which is the
 /// historical — and golden-gated — sequential event order.
+///
+/// All methods take `&self` and lock internally, so hosts share the
+/// topology as an `Arc<ShardedArray>` between the co-simulation bridges,
+/// the controller and workload setup code.
 pub struct ShardedArray {
     set: DeviceSet,
     shard_count: usize,
@@ -698,22 +358,17 @@ pub struct ShardedArray {
 impl ShardedArray {
     /// Build `count` default devices partitioned into `shards` shards.
     pub fn new(count: usize, shards: usize) -> Self {
-        let parts = (0..count)
-            .map(|i| {
-                (
-                    SsdConfig::new(i as u32),
-                    Arc::new(MemBacking::new(i as u32)) as Arc<dyn PageBacking>,
-                )
-            })
-            .collect();
-        ShardedArray::from_parts(parts, shards)
+        ShardedArray::from_set(DeviceSet::new(count), shards)
     }
 
     /// Partition explicit (config, backing) pairs into `shards` shards,
     /// device `d` → shard `d % shards`.
     pub fn from_parts(parts: Vec<(SsdConfig, Arc<dyn PageBacking>)>, shards: usize) -> Self {
+        ShardedArray::from_set(DeviceSet::from_parts(parts), shards)
+    }
+
+    fn from_set(set: DeviceSet, shards: usize) -> Self {
         assert!(shards >= 1, "a sharded array needs at least one shard");
-        let set = DeviceSet::from_parts(parts);
         ShardedArray {
             global_pages: set.len() as u64 * set.min_namespace_pages(),
             set,
@@ -736,94 +391,127 @@ impl ShardedArray {
         self
     }
 
-    /// Global device indices of `shard`, in increasing global order (the
-    /// shard's historical slot order).
-    fn shard_members(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
-        (shard..self.set.len()).step_by(self.shard_count)
-    }
-}
-
-impl StorageTopology for ShardedArray {
-    fn device_count(&self) -> usize {
+    /// Total devices across all shards.
+    pub fn device_count(&self) -> usize {
         self.set.len()
     }
-    fn shard_count(&self) -> usize {
+
+    /// Number of lock shards.
+    pub fn shard_count(&self) -> usize {
         self.shard_count
     }
-    fn shard_of(&self, dev: usize) -> usize {
+
+    /// Lock shard that owns global device `dev`.
+    pub fn shard_of(&self, dev: usize) -> usize {
         dev % self.shard_count
     }
-    fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>> {
+
+    /// Register `per_device` queue pairs of `depth` entries on every device;
+    /// returned grouped by global device index.
+    pub fn register_queues(&self, per_device: usize, depth: u32) -> Vec<Vec<Arc<QueuePair>>> {
         self.set.register_queues(per_device, depth)
     }
-    fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
+
+    /// The page backing of global device `dev` (for dataset setup).
+    pub fn backing(&self, dev: usize) -> Arc<dyn PageBacking> {
         Arc::clone(self.set.device(dev).backing())
     }
-    fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
-        let mut all_fresh = true;
-        for shard in 0..self.shard_count {
-            all_fresh &= self.set_shard_trace_sink(shard, sink);
-        }
-        all_fresh
+
+    /// Install a trace sink on every device's completion path. Returns
+    /// `false` if any device already had one.
+    pub fn set_trace_sink(&self, sink: &Arc<dyn TraceSink>) -> bool {
+        self.set.set_trace_sink(sink)
     }
-    fn advance_to(&self, now: Cycles) {
-        // Shard-major, matching the trait contract and the golden traces.
-        for shard in 0..self.shard_count {
-            self.advance_shard_to(shard, now);
-        }
+
+    /// Install a trace sink on one device's completion path only (the
+    /// threaded engine gives each device its own buffering sink). Returns
+    /// `false` if the device already had one.
+    pub fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
+        self.set.set_device_trace_sink(dev, sink)
     }
-    fn next_event_time(&self) -> Option<Cycles> {
-        self.set.next_event_time()
-    }
-    fn quiescent(&self) -> bool {
-        self.set.quiescent()
-    }
-    fn advance_shard_to(&self, shard: usize, now: Cycles) {
-        for dev in self.shard_members(shard) {
+
+    /// Advance every device to `now`, in [`Self::device_advance_order`].
+    pub fn advance_to(&self, now: Cycles) {
+        for dev in self.advance_order() {
             self.set.advance_device_to(dev, now);
         }
     }
-    fn shard_next_event_time(&self, shard: usize) -> Option<Cycles> {
-        self.shard_members(shard)
-            .filter_map(|dev| self.set.device_next_event_time(dev))
-            .min()
+
+    /// Earliest pending event across all devices.
+    pub fn next_event_time(&self) -> Option<Cycles> {
+        self.set.next_event_time()
     }
-    fn shard_quiescent(&self, shard: usize) -> bool {
-        self.shard_members(shard)
-            .all(|dev| self.set.device_quiescent(dev))
+
+    /// True when every device is idle.
+    pub fn quiescent(&self) -> bool {
+        self.set.quiescent()
     }
-    fn set_shard_trace_sink(&self, shard: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        let mut all_fresh = true;
-        for dev in self.shard_members(shard) {
-            all_fresh &= self.set.set_device_trace_sink(dev, sink);
-        }
-        all_fresh
-    }
-    fn advance_device_to(&self, dev: usize, now: Cycles) {
+
+    /// Advance only global device `dev` to `now`. Devices are mutually
+    /// independent between advancement boundaries, so the engine may call
+    /// this concurrently for different devices; calling it for
+    /// [`Self::device_advance_order`] in order is exactly
+    /// [`Self::advance_to`].
+    pub fn advance_device_to(&self, dev: usize, now: Cycles) {
         self.set.advance_device_to(dev, now);
     }
-    fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
+
+    /// Earliest pending event on global device `dev`.
+    pub fn device_next_event_time(&self, dev: usize) -> Option<Cycles> {
         self.set.device_next_event_time(dev)
     }
-    fn device_quiescent(&self, dev: usize) -> bool {
+
+    /// True when global device `dev` is idle.
+    pub fn device_quiescent(&self, dev: usize) -> bool {
         self.set.device_quiescent(dev)
     }
-    fn set_device_trace_sink(&self, dev: usize, sink: &Arc<dyn TraceSink>) -> bool {
-        self.set.set_device_trace_sink(dev, sink)
+
+    /// Global device indices in sequential advance order: shard 0's devices
+    /// in increasing global order, then shard 1's, … Per-device engine
+    /// bridges registered in this order reproduce the sequential event
+    /// stream byte for byte, which is what keeps the golden traces green at
+    /// any worker count.
+    pub fn device_advance_order(&self) -> Vec<usize> {
+        self.advance_order().collect()
     }
-    fn total_bytes_read(&self) -> u64 {
+
+    fn advance_order(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.shard_count).flat_map(|shard| (shard..self.set.len()).step_by(self.shard_count))
+    }
+
+    /// Sum of bytes read across devices.
+    pub fn total_bytes_read(&self) -> u64 {
         self.set.total_bytes_read()
     }
-    fn total_bytes_written(&self) -> u64 {
+
+    /// Sum of bytes written across devices.
+    pub fn total_bytes_written(&self) -> u64 {
         self.set.total_bytes_written()
     }
-    fn device_stats(&self, dev: usize) -> DeviceStats {
+
+    /// Statistics snapshot of global device `dev`.
+    pub fn device_stats(&self, dev: usize) -> DeviceStats {
         self.set.device(dev).stats().clone()
     }
-    fn global_pages(&self) -> u64 {
+
+    /// Commands currently in flight on global device `dev` (scheduled
+    /// completions plus completions parked on a full CQ) — the per-device
+    /// queue-depth gauge.
+    pub fn device_inflight(&self, dev: usize) -> u64 {
+        self.set.device(dev).inflight()
+    }
+
+    /// Extent of the striped global page space
+    /// (`device_count × min(namespace_pages)`).
+    pub fn global_pages(&self) -> u64 {
         self.global_pages
     }
-    fn map_page(&self, global: u64) -> PageLocation {
+
+    /// Map a global page index to `(shard, device, local page)`. The
+    /// device/page mapping depends only on the device count and placement,
+    /// so arrays with equal device counts lay data out identically at any
+    /// shard count.
+    pub fn map_page(&self, global: u64) -> PageLocation {
         let (device, page) = stripe(global, self.set.len() as u64, self.placement);
         PageLocation {
             shard: self.shard_of(device as usize) as u32,
@@ -831,17 +519,27 @@ impl StorageTopology for ShardedArray {
             page,
         }
     }
-    fn lock_acquire(&self, dev: usize, warp: u64, now: Cycles) -> Cycles {
+
+    /// Charge one submission's pass through the array lock guarding device
+    /// `dev`: FIFO wait behind earlier holders plus the hold itself.
+    pub fn lock_acquire(&self, dev: usize, warp: u64, now: Cycles) -> Cycles {
         self.lock.acquire(self.shard_of(dev), warp, now)
     }
-    fn lock_wait_by_shard(&self) -> Vec<u64> {
+
+    /// Accumulated FIFO queue-wait cycles per lock shard, in shard order
+    /// (`agile_submit_lock_wait_cycles_total{shard}`).
+    pub fn lock_wait_by_shard(&self) -> Vec<u64> {
         self.lock.wait_by_shard()
     }
-    fn lock_acquires_by_shard(&self) -> Vec<u64> {
-        self.lock.acquires_by_shard()
+
+    /// Total queue-wait cycles across all lock shards.
+    pub fn lock_wait_cycles(&self) -> u64 {
+        self.lock_wait_by_shard().iter().sum()
     }
-    fn device_inflight(&self, dev: usize) -> u64 {
-        self.set.device(dev).inflight()
+
+    /// Total lock acquisitions per shard, in shard order.
+    pub fn lock_acquires_by_shard(&self) -> Vec<u64> {
+        self.lock.acquires_by_shard()
     }
 }
 
@@ -864,26 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaving_round_robins_devices() {
-        let arr = DeviceSet::new(3);
-        let (d0, l0) = arr.interleave(0, 1000);
-        let (d1, l1) = arr.interleave(1, 1000);
-        let (d2, _) = arr.interleave(2, 1000);
-        let (d3, l3) = arr.interleave(3, 1000);
-        assert_eq!((d0, d1, d2, d3), (0, 1, 2, 0));
-        assert_eq!(l0, 0);
-        assert_eq!(l1, 0);
-        assert_eq!(l3, 1);
-    }
-
-    #[test]
-    fn interleaving_wraps_lba_space() {
-        let arr = DeviceSet::new(2);
-        let (_, lba) = arr.interleave(2 * 500 + 1, 500);
-        assert!(lba < 500);
-    }
-
-    #[test]
     fn totals_start_at_zero() {
         let arr = DeviceSet::new(2);
         assert_eq!(arr.total_bytes_read(), 0);
@@ -891,16 +569,17 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_sharded_stripe_identically() {
-        let flat = FlatArray::new(6);
+    fn every_shard_count_stripes_identically() {
+        let one = ShardedArray::new(6, 1);
         for shards in [1usize, 2, 3, 6] {
             let sharded = ShardedArray::new(6, shards);
             assert_eq!(sharded.shard_count(), shards);
             assert_eq!(sharded.device_count(), 6);
             for g in 0..600u64 {
-                let f = flat.map_page(g);
+                let o = one.map_page(g);
                 let s = sharded.map_page(g);
-                assert_eq!((f.device, f.page), (s.device, s.page), "page {g}");
+                assert_eq!((o.device, o.page), (s.device, s.page), "page {g}");
+                assert_eq!(o.shard, 0);
                 assert_eq!(s.shard as usize, s.device as usize % shards);
             }
         }
@@ -946,33 +625,37 @@ mod tests {
     }
 
     #[test]
-    fn flat_serializes_where_sharded_does_not() {
-        let flat = FlatArray::new(4);
+    fn one_shard_serializes_where_many_do_not() {
+        let one = ShardedArray::new(4, 1);
         let sharded = ShardedArray::new(4, 4);
-        let mut flat_total = 0u64;
+        let mut one_total = 0u64;
         let mut sharded_total = 0u64;
         for warp in 0..16u64 {
             let dev = (warp % 4) as usize;
-            flat_total += flat.lock_acquire(dev, warp, Cycles(0)).raw();
+            one_total += one.lock_acquire(dev, warp, Cycles(0)).raw();
             sharded_total += sharded.lock_acquire(dev, warp, Cycles(0)).raw();
         }
         assert!(
-            flat_total > sharded_total,
-            "flat {flat_total} must serialize more than sharded {sharded_total}"
+            one_total > sharded_total,
+            "one shard {one_total} must serialize more than four {sharded_total}"
         );
     }
 
     #[test]
-    fn sharded_with_one_shard_matches_flat_lock_costs() {
-        let flat = FlatArray::new(3);
-        let sharded = ShardedArray::new(3, 1);
+    fn one_shard_charges_every_device_on_one_lock() {
+        // Spreading submissions over devices must cost exactly what
+        // funnelling them all through device 0 costs: one shard is one lock.
+        let spread = ShardedArray::new(3, 1);
+        let funnel = ShardedArray::new(3, 1);
         for warp in 0..12u64 {
             let dev = (warp % 3) as usize;
             assert_eq!(
-                flat.lock_acquire(dev, warp, Cycles(warp * 7)),
-                sharded.lock_acquire(dev, warp, Cycles(warp * 7)),
+                spread.lock_acquire(dev, warp, Cycles(warp * 7)),
+                funnel.lock_acquire(0, warp, Cycles(warp * 7)),
             );
         }
+        assert_eq!(spread.lock_wait_by_shard(), funnel.lock_wait_by_shard());
+        assert_eq!(spread.lock_acquires_by_shard(), vec![12]);
     }
 
     #[test]
@@ -980,27 +663,11 @@ mod tests {
         // Shard-major order: shard 0's devices in global order, then shard 1's.
         let sharded = ShardedArray::new(5, 2);
         assert_eq!(sharded.device_advance_order(), vec![0, 2, 4, 1, 3]);
-        // One shard (or a flat array) degenerates to global order.
-        assert_eq!(ShardedArray::new(4, 1).device_advance_order(), vec![0, 1, 2, 3]);
-        assert_eq!(FlatArray::new(3).device_advance_order(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn partition_devices_round_robins_order_positions() {
-        let set = DeviceSet::new(5);
-        // Order positions (not device ids) are dealt round-robin, so each
-        // worker gets a contiguous-in-time slice of the advance schedule.
-        let order = vec![0, 2, 4, 1, 3];
+        // One shard degenerates to global order.
         assert_eq!(
-            set.partition_devices(2, &order),
-            vec![vec![0, 4, 3], vec![2, 1]]
+            ShardedArray::new(4, 1).device_advance_order(),
+            vec![0, 1, 2, 3]
         );
-        // More workers than devices leaves the tail buckets empty.
-        let parts = set.partition_devices(8, &order);
-        assert_eq!(parts.len(), 8);
-        assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 3);
-        // A single worker owns everything, in advance order.
-        assert_eq!(set.partition_devices(1, &order), vec![order.clone()]);
     }
 
     #[test]
@@ -1012,7 +679,9 @@ mod tests {
             let queues = topo.register_queues(1, 16);
             for (dev, qs) in queues.iter().enumerate() {
                 let lba = dev as u64 * 3;
-                assert!(qs[0].sq.write_slot(0, NvmeCommand::read(1, lba, DmaHandle::new())));
+                assert!(qs[0]
+                    .sq
+                    .write_slot(0, NvmeCommand::read(1, lba, DmaHandle::new())));
                 qs[0].sq_doorbell.ring(1, Cycles(0));
             }
             if per_device {
@@ -1022,7 +691,9 @@ mod tests {
             } else {
                 topo.advance_to(Cycles(4_000_000));
             }
-            let stats: Vec<u64> = (0..3).map(|d| topo.device_stats(d).reads_completed).collect();
+            let stats: Vec<u64> = (0..3)
+                .map(|d| topo.device_stats(d).reads_completed)
+                .collect();
             (topo.total_bytes_read(), topo.total_bytes_written(), stats)
         };
         assert_eq!(run(true), run(false));

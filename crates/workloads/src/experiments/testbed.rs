@@ -52,7 +52,7 @@ pub fn experiment_gpu() -> GpuConfig {
 }
 
 /// Build and start an AGILE testbed with `ssd_count` SSDs of
-/// `pages_per_ssd` pages each (flat single-lock topology).
+/// `pages_per_ssd` pages each (single-lock topology).
 pub fn agile_testbed(config: AgileConfig, ssd_count: usize, pages_per_ssd: u64) -> AgileHost {
     HostBuilder::agile(config)
         .gpu(experiment_gpu())
@@ -60,7 +60,7 @@ pub fn agile_testbed(config: AgileConfig, ssd_count: usize, pages_per_ssd: u64) 
         .build()
 }
 
-/// Build and start a BaM testbed with `ssd_count` SSDs (flat topology).
+/// Build and start a BaM testbed with `ssd_count` SSDs (single-lock topology).
 pub fn bam_testbed(config: BamConfig, ssd_count: usize, pages_per_ssd: u64) -> BamHost {
     HostBuilder::bam(config)
         .gpu(experiment_gpu())

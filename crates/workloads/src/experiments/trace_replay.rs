@@ -11,8 +11,8 @@ use crate::experiments::testbed::experiment_gpu;
 use crate::trace_replay::{
     AgileTraceReplayKernel, BamTraceReplayKernel, ReplayCollector, ReplayPath, TraceReplayParams,
 };
-use agile_cache::TenantCacheStats;
-use agile_control::{ControlPolicy, ControlReport, SloSpec};
+use agile_cache::{ShardedCache, TenantCacheStats};
+use agile_control::{ControlPolicy, ControlReport, Controller, SloSpec};
 use agile_core::config::CachePolicyKind;
 use agile_core::qos::{Fifo, QosPolicy, StrictPriority, WeightedFair};
 use agile_core::service::ServiceStats;
@@ -22,8 +22,9 @@ use agile_metrics::{
 };
 use agile_sim::trace::TraceSink;
 use agile_sim::units::SSD_PAGE_SIZE;
+use agile_sim::Cycles;
 use agile_trace::Trace;
-use bam_baseline::{BamConfig, HostBuilder};
+use bam_baseline::{BamConfig, HostBuilder, HostSystem};
 use gpu_sim::{EngineSched, LaunchConfig};
 use nvme_sim::Placement;
 use std::sync::Arc;
@@ -354,11 +355,12 @@ pub struct ReplayConfig {
     pub queue_depth: u32,
     /// Which I/O path the replay drives (raw or through the software cache).
     pub path: ReplayPath,
-    /// Lock shards of the storage topology: 0 builds the single-lock
-    /// `FlatArray`, ≥ 1 a `ShardedArray` with that many shards.
+    /// Lock shards of the storage topology. 0 (the default) and 1 both
+    /// build the single-lock array; the value is echoed as given in the
+    /// summary.
     pub shards: usize,
     /// Route ops through the topology's page-striping layer (identical
-    /// device/page layout for flat and sharded, so comparisons isolate the
+    /// device/page layout at any shard count, so comparisons isolate the
     /// lock partitioning).
     pub stripe: bool,
     /// Placement seed of the striping layer (interleave = the golden-guarded
@@ -759,8 +761,6 @@ pub fn run_trace_replay_with_sink(
         "the BaM baseline hard-codes the clock cache policy; \
          pluggable eviction is AGILE-only"
     );
-    let devices = trace.meta.devices.max(1) as usize;
-    let pages = trace.meta.lba_space.max(1);
     let trace = Arc::new(trace.clone());
     let collector = Arc::new(ReplayCollector::new());
     // One registry + sampler pair instruments whichever host runs; the
@@ -793,30 +793,11 @@ pub fn run_trace_replay_with_sink(
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }
-            let mut builder = HostBuilder::agile(config)
-                .gpu(experiment_gpu())
-                .devices(devices, pages)
+            let builder = HostBuilder::agile(config)
                 .service_shards(cfg.service_shards)
-                .engine_sched(cfg.engine_sched)
-                .placement(cfg.placement)
                 .cache_policy(cfg.cache_policy)
-                .cache_shares(cfg.cache_shares.clone())
-                .qos(cfg.qos.policy());
-            if cfg.shards > 0 {
-                builder = builder.shards(cfg.shards);
-            }
-            if let Some(sink) = sink {
-                builder = builder.trace_sink(sink);
-            }
-            if let Some((registry, sampler)) = &instruments {
-                builder = builder
-                    .metrics(Arc::clone(registry))
-                    .metrics_sampler(Arc::clone(sampler));
-            }
-            if let Some(policy) = &cfg.control {
-                builder = builder.control(policy.clone()).slos(cfg.slos.clone());
-            }
-            let mut host = builder.build();
+                .cache_shares(cfg.cache_shares.clone());
+            let mut host = configure(builder, &trace, cfg, sink, instruments.as_ref()).build();
             let ctrl = host.ctrl();
             // Seed the live prefetch-depth cell before the controller's
             // first window so a controlled run starts from the requested
@@ -831,23 +812,15 @@ pub fn run_trace_replay_with_sink(
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
             report.service_stats = host.service_set().partition_stats();
-            report.qos_deferrals = ctrl.stats().qos_deferrals;
-            report.cache_port_wait_cycles = ctrl.cache().port_wait_by_shard().iter().sum();
-            if cfg.tenant_warps {
-                report.tenant_cache = ctrl.cache().tenant_stats();
-            }
-            if let Some((registry, sampler)) = &instruments {
-                sampler.finish(host.now().raw());
-                report.metrics = Some(MetricsReport {
-                    snapshot: registry.snapshot(),
-                    windows: sampler.windows(),
-                    window_cycles: sampler.window_cycles(),
-                    clock_ghz: experiment_gpu().clock_ghz,
-                });
-            }
-            // After `finish`: the controller's report drains the trailing
-            // partial window so late decisions and final knobs line up.
-            report.control = host.controller().map(|c| c.report());
+            finish_shared(
+                &mut report,
+                cfg,
+                ctrl.stats().qos_deferrals,
+                ctrl.cache(),
+                host.now(),
+                instruments.as_ref(),
+                host.controller(),
+            );
             report
         }
         ReplaySystem::Bam => {
@@ -859,27 +832,8 @@ pub fn run_trace_replay_with_sink(
             if let Some(bytes) = cfg.cache_bytes {
                 config = config.with_cache_bytes(bytes);
             }
-            let mut builder = HostBuilder::bam(config)
-                .gpu(experiment_gpu())
-                .devices(devices, pages)
-                .engine_sched(cfg.engine_sched)
-                .placement(cfg.placement)
-                .qos(cfg.qos.policy());
-            if cfg.shards > 0 {
-                builder = builder.shards(cfg.shards);
-            }
-            if let Some(sink) = sink {
-                builder = builder.trace_sink(sink);
-            }
-            if let Some((registry, sampler)) = &instruments {
-                builder = builder
-                    .metrics(Arc::clone(registry))
-                    .metrics_sampler(Arc::clone(sampler));
-            }
-            if let Some(policy) = &cfg.control {
-                builder = builder.control(policy.clone()).slos(cfg.slos.clone());
-            }
-            let mut host = builder.build();
+            let builder = HostBuilder::bam(config);
+            let mut host = configure(builder, &trace, cfg, sink, instruments.as_ref()).build();
             let ctrl = host.ctrl();
             // BaM's polling lives in the user kernel: heavier footprint.
             let launch = LaunchConfig::new(blocks, 256).with_registers(56);
@@ -890,24 +844,86 @@ pub fn run_trace_replay_with_sink(
                 params,
             ));
             let mut report = drive(&mut host, launch, factory, system, &trace, cfg, &collector);
-            report.qos_deferrals = ctrl.stats().qos_deferrals;
-            report.cache_port_wait_cycles = ctrl.cache().port_wait_by_shard().iter().sum();
-            if cfg.tenant_warps {
-                report.tenant_cache = ctrl.cache().tenant_stats();
-            }
-            if let Some((registry, sampler)) = &instruments {
-                sampler.finish(host.now().raw());
-                report.metrics = Some(MetricsReport {
-                    snapshot: registry.snapshot(),
-                    windows: sampler.windows(),
-                    window_cycles: sampler.window_cycles(),
-                    clock_ghz: experiment_gpu().clock_ghz,
-                });
-            }
-            report.control = host.controller().map(|c| c.report());
+            finish_shared(
+                &mut report,
+                cfg,
+                ctrl.stats().qos_deferrals,
+                ctrl.cache(),
+                host.now(),
+                instruments.as_ref(),
+                host.controller(),
+            );
             report
         }
     }
+}
+
+/// The registry + sampler pair an instrumented replay installs.
+type Instruments = (Arc<MetricsRegistry>, Arc<WindowedSampler>);
+
+/// Builder settings both systems share: the testbed sized for `trace`, the
+/// topology, scheduler and QoS policy from `cfg`, the capture sink and the
+/// instruments.
+fn configure<S: HostSystem>(
+    builder: HostBuilder<S>,
+    trace: &Trace,
+    cfg: &ReplayConfig,
+    sink: Option<Arc<dyn TraceSink>>,
+    instruments: Option<&Instruments>,
+) -> HostBuilder<S> {
+    let mut builder = builder
+        .gpu(experiment_gpu())
+        .devices(
+            trace.meta.devices.max(1) as usize,
+            trace.meta.lba_space.max(1),
+        )
+        .shards(cfg.shards.max(1))
+        .engine_sched(cfg.engine_sched)
+        .placement(cfg.placement)
+        .qos(cfg.qos.policy());
+    if let Some(sink) = sink {
+        builder = builder.trace_sink(sink);
+    }
+    if let Some((registry, sampler)) = instruments {
+        builder = builder
+            .metrics(Arc::clone(registry))
+            .metrics_sampler(Arc::clone(sampler));
+    }
+    if let Some(policy) = &cfg.control {
+        builder = builder.control(policy.clone()).slos(cfg.slos.clone());
+    }
+    builder
+}
+
+/// Report fields both systems fill the same way once the replay ran: QoS
+/// deferrals, cache port waits and tenant statistics, then the metrics
+/// capture and — after the sampler's final window — the control report.
+fn finish_shared(
+    report: &mut ReplayReport,
+    cfg: &ReplayConfig,
+    qos_deferrals: u64,
+    cache: &ShardedCache,
+    now: Cycles,
+    instruments: Option<&Instruments>,
+    controller: Option<&Arc<Controller>>,
+) {
+    report.qos_deferrals = qos_deferrals;
+    report.cache_port_wait_cycles = cache.port_wait_by_shard().iter().sum();
+    if cfg.tenant_warps {
+        report.tenant_cache = cache.tenant_stats();
+    }
+    if let Some((registry, sampler)) = instruments {
+        sampler.finish(now.raw());
+        report.metrics = Some(MetricsReport {
+            snapshot: registry.snapshot(),
+            windows: sampler.windows(),
+            window_cycles: sampler.window_cycles(),
+            clock_ghz: experiment_gpu().clock_ghz,
+        });
+    }
+    // After `finish`: the controller's report drains the trailing partial
+    // window so late decisions and final knobs line up.
+    report.control = controller.map(|c| c.report());
 }
 
 /// Replay `trace` through `system` with no capture.

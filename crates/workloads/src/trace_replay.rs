@@ -162,7 +162,7 @@ pub struct TraceReplayParams {
     pub path: ReplayPath,
     /// Route every op through the topology's page-striping layer: the op's
     /// `(dev, lba)` is folded into one global page index and resolved back
-    /// to a concrete device via `StorageTopology::map_page`. Requires the
+    /// to a concrete device via `ShardedArray::map_page`. Requires the
     /// controller to carry a topology (hosts built via `HostBuilder` do).
     pub stripe: bool,
     /// Partition warps **by tenant** instead of round-robin over the whole

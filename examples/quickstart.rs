@@ -15,8 +15,8 @@ use agile_repro::gpu::{GpuConfig, LaunchConfig};
 
 fn main() {
     // --- Host-side configuration (Listing 1, lines 22-40) ---------------
-    // HostBuilder runs the order-sensitive new → add_nvme_dev → init_nvme →
-    // start_agile sequence internally and returns a started host.
+    // `AGILE_HOST host(...)` + `addNvmeDev` are builder setters; `build()`
+    // is `initNvme` + `startAgile` and returns a started host.
     let config = AgileConfig::paper_default()
         .with_queue_pairs(8)
         .with_queue_depth(64)
@@ -50,7 +50,7 @@ fn main() {
         "bytes read from SSDs: {} MiB",
         host.topology().total_bytes_read() >> 20
     );
-    host.stop_agile();
-    host.close_nvme();
+    host.stop_agile(); // stopAgile
+    drop(host); // closeNvme
     println!("done.");
 }

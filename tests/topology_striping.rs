@@ -1,9 +1,11 @@
-//! Property tests for the storage-topology striping layer: the flat and
-//! sharded topologies must expose the *same* bijective global page space
-//! (only the lock partitioning differs), and a one-shard `ShardedArray`
-//! must replay a trace bit-identically to the `FlatArray`.
+//! Property tests for the storage-topology striping layer: a flat
+//! (one-shard) and an N-shard `ShardedArray` must expose the *same*
+//! bijective global page space (only the lock partitioning differs), and
+//! the replay default (`shards = 0`) must replay a trace bit-identically to
+//! an explicit `shards = 1`.
 
-use agile_repro::nvme::{FlatArray, Placement, ShardedArray, StorageTopology};
+use agile_repro::metrics::windows_to_json;
+use agile_repro::nvme::{Placement, ShardedArray};
 use agile_repro::trace::TraceSpec;
 use agile_repro::workloads::experiments::trace_replay::{
     run_trace_replay, ReplayConfig, ReplaySystem,
@@ -13,7 +15,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flat and sharded topologies map every global page to the identical
+    /// One-shard and N-shard arrays map every global page to the identical
     /// (device, local page), and the mapping is invertible.
     #[test]
     fn flat_and_sharded_map_the_same_page_space(
@@ -21,9 +23,10 @@ proptest! {
         shards in 1usize..8,
         pages in proptest::collection::vec(any::<u32>(), 1..64),
     ) {
-        let flat = FlatArray::new(devices);
+        let flat = ShardedArray::new(devices, 1);
         let sharded = ShardedArray::new(devices, shards);
         prop_assert_eq!(flat.device_count(), sharded.device_count());
+        prop_assert_eq!(flat.shard_count(), 1);
         for &p in &pages {
             let g = p as u64;
             let f = flat.map_page(g);
@@ -71,8 +74,8 @@ proptest! {
         devices in 1usize..12,
         pages in proptest::collection::vec(any::<u32>(), 1..64),
     ) {
-        let default_topo = FlatArray::new(devices);
-        let hashed = FlatArray::new(devices).with_placement(Placement::Hash);
+        let default_topo = ShardedArray::new(devices, 1);
+        let hashed = ShardedArray::new(devices, 1).with_placement(Placement::Hash);
         for &p in &pages {
             let g = p as u64;
             let loc = default_topo.map_page(g);
@@ -84,7 +87,7 @@ proptest! {
         }
     }
 
-    /// Flat and sharded topologies lay data out identically under the hash
+    /// One-shard and N-shard arrays lay data out identically under the hash
     /// placement too — the placement seed composes with lock partitioning
     /// exactly like the interleave does.
     #[test]
@@ -93,7 +96,7 @@ proptest! {
         shards in 1usize..6,
         span in 1u64..256,
     ) {
-        let flat = FlatArray::new(devices).with_placement(Placement::Hash);
+        let flat = ShardedArray::new(devices, 1).with_placement(Placement::Hash);
         let sharded = ShardedArray::new(devices, shards).with_placement(Placement::Hash);
         for g in 0..span {
             let f = flat.map_page(g);
@@ -109,8 +112,8 @@ fn hash_placement_breaks_device_lockstep() {
     // lockstep; the hash rotation must produce a different device sequence
     // (while staying bijective — covered by the proptests above).
     let devices = 4;
-    let interleave = FlatArray::new(devices);
-    let hashed = FlatArray::new(devices).with_placement(Placement::Hash);
+    let interleave = ShardedArray::new(devices, 1);
+    let hashed = ShardedArray::new(devices, 1).with_placement(Placement::Hash);
     let seq_i: Vec<u32> = (0..64).map(|g| interleave.map_page(g).device).collect();
     let seq_h: Vec<u32> = (0..64).map(|g| hashed.map_page(g).device).collect();
     assert_ne!(seq_i, seq_h, "hash placement must re-order device visits");
@@ -143,8 +146,10 @@ fn hash_placement_replays_a_trace_end_to_end() {
 
 #[test]
 fn sharded_one_replays_identically_to_flat_on_both_systems() {
-    // Equal device count, striped layout, one lock shard: per-op results —
-    // and therefore the whole summary — must be bit-identical.
+    // Equal device count, striped layout, one lock shard: the replay default
+    // (`shards = 0`, echoed in the summary) and an explicit `shards = 1`
+    // must give bit-identical per-op results — and therefore summaries —
+    // and identical metrics exports, `{shard}` labels included.
     let trace = TraceSpec::multi_tenant("striping-ident", 21, 3, 1 << 12, 512).generate();
     let flat_cfg = ReplayConfig::quick().striped();
     let sharded_cfg = ReplayConfig {
@@ -159,8 +164,27 @@ fn sharded_one_replays_identically_to_flat_on_both_systems() {
         assert_eq!(
             flat.summary().replace("shards=0", "shards=1"),
             sharded.summary(),
-            "{:?}: shards=1 must equal the flat array",
+            "{:?}: shards=1 must equal the flat default",
             system
+        );
+
+        let flat = run_trace_replay(&trace, system, &flat_cfg.clone().with_metrics());
+        let sharded = run_trace_replay(&trace, system, &sharded_cfg.clone().with_metrics());
+        let (flat, sharded) = (flat.metrics.unwrap(), sharded.metrics.unwrap());
+        let json = flat.snapshot.to_json();
+        assert!(
+            json.contains("\"shard\":0") && !json.contains("\"shard\":1"),
+            "{system:?}: the default topology has exactly one lock shard"
+        );
+        assert_eq!(
+            json,
+            sharded.snapshot.to_json(),
+            "{system:?}: metrics export"
+        );
+        assert_eq!(
+            windows_to_json(&flat.windows),
+            windows_to_json(&sharded.windows),
+            "{system:?}: windowed series"
         );
     }
 }
